@@ -133,7 +133,7 @@ Kernel::runSlice(std::uint32_t core)
                 const auto sl =
                     sampler_->runFunctionalSlice(core, budget);
                 budget -= std::min(budget, sl.insts);
-                ff_cycles += sl.cycles;
+                ff_cycles += sampler_->ffCycles(sl.insts);
                 done = sl.done;
             } else {
                 const std::uint64_t insts0 =

@@ -55,7 +55,7 @@ class Deserializer;
 
 namespace dlsim::sim
 {
-class ServerSampler;
+class Sampler;
 }
 
 namespace dlsim::os
@@ -281,7 +281,7 @@ class Kernel
      * — only how an in-flight call's instructions are executed
      * changes.
      */
-    void setSampler(sim::ServerSampler *sampler)
+    void setSampler(sim::Sampler *sampler)
     {
         sampler_ = sampler;
     }
@@ -361,7 +361,7 @@ class Kernel
     std::uint32_t curTid_ = 0;
     std::uint32_t curCore_ = 0;
     KernelStats stats_;
-    sim::ServerSampler *sampler_ = nullptr;
+    sim::Sampler *sampler_ = nullptr;
 
     static constexpr std::uint32_t NoTid = UINT32_MAX;
 };

@@ -551,7 +551,7 @@ Server::setSampling(const sim::SampleParams &params)
         sampler_.reset();
         return;
     }
-    sampler_ = std::make_unique<sim::ServerSampler>(
+    sampler_ = std::make_unique<sim::Sampler>(
         sys_, wb_.image(), wb_.linker(), params);
     kernel_.setSampler(sampler_.get());
 }

@@ -179,7 +179,7 @@ class Server
      * fast-forward runs functionally with kernel logic exact.
      */
     void setSampling(const sim::SampleParams &params);
-    const sim::ServerSampler *sampler() const
+    const sim::Sampler *sampler() const
     {
         return sampler_.get();
     }
@@ -240,7 +240,7 @@ class Server
     /** Non-owning views of the kernel-owned thread bodies. */
     std::vector<ServerClient *> clientBodies_;
 
-    std::unique_ptr<sim::ServerSampler> sampler_;
+    std::unique_ptr<sim::Sampler> sampler_;
 
     ServerStats stats_;
     stats::SampleSet latency_;

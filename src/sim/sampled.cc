@@ -1,7 +1,9 @@
 #include "sim/sampled.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
+#include <utility>
 
 #include "stats/metrics.hh"
 
@@ -17,6 +19,15 @@ hexAddr(isa::Addr addr)
     std::ostringstream os;
     os << "0x" << std::hex << addr;
     return os.str();
+}
+
+std::vector<cpu::Core *>
+coresOf(MultiCoreSystem &sys)
+{
+    std::vector<cpu::Core *> cores;
+    for (std::uint32_t i = 0; i < sys.numCores(); ++i)
+        cores.push_back(&sys.core(i));
+    return cores;
 }
 
 } // namespace
@@ -72,231 +83,38 @@ SampleParams::spec() const
            ":" + std::to_string(fastforward);
 }
 
-SampledExecution::SampledExecution(cpu::Core &core,
-                                   linker::Image &image,
-                                   linker::DynamicLinker &linker,
-                                   const SampleParams &params)
-    : core_(core), image_(image), linker_(linker),
-      ref_(&image, &image.addressSpace()), params_(params)
+Sampler::Sampler(cpu::Core &core, linker::Image &image,
+                 linker::DynamicLinker &linker,
+                 const SampleParams &params)
+    : Sampler({&core}, nullptr, image, linker, params)
 {
-    // One knob drives both executors: a --blocks 0 run must be
-    // block-free in the fast-forward phases too.
-    ref_.setBlockDispatch(core.params().blockDispatch);
-    phase_ = params_.warmup > 0 ? Phase::Warmup : Phase::Detail;
-    phaseLeft_ =
-        params_.warmup > 0 ? params_.warmup : params_.detail;
 }
 
-SampledExecution::CallEstimate
-SampledExecution::runToReturn()
+Sampler::Sampler(MultiCoreSystem &sys, linker::Image &image,
+                 linker::DynamicLinker &linker,
+                 const SampleParams &params)
+    : Sampler(coresOf(sys), &sys, image, linker, params)
 {
-    std::uint64_t det_insts = 0;
-    std::uint64_t det_cycles = 0;
-    std::uint64_t ff_insts = 0;
-    bool done = false;
-    while (!done) {
-        if (phase_ == Phase::FastForward)
-            done = runFastForward(ff_insts);
-        else
-            done = runDetailedPhase(det_insts, det_cycles);
-    }
-
-    CallEstimate est;
-    est.instructions = det_insts + ff_insts;
-    est.cycles =
-        det_cycles +
-        static_cast<std::uint64_t>(
-            static_cast<double>(ff_insts) * stats_.cpi() + 0.5);
-    return est;
 }
 
-bool
-SampledExecution::runDetailedPhase(std::uint64_t &det_insts,
-                                   std::uint64_t &det_cycles)
+Sampler::Sampler(std::vector<cpu::Core *> cores, MultiCoreSystem *sys,
+                 linker::Image &image, linker::DynamicLinker &linker,
+                 const SampleParams &params)
+    : cores_(std::move(cores)), sys_(sys), linker_(linker),
+      params_(params)
 {
-    const auto insts0 = core_.instructionsRetired();
-    const auto cycles0 = core_.cycleCount();
-    const bool done = core_.runQuantum(phaseLeft_);
-    const auto ran = core_.instructionsRetired() - insts0;
-    const auto cyc = core_.cycleCount() - cycles0;
-
-    det_insts += ran;
-    det_cycles += cyc;
-    if (phase_ == Phase::Detail) {
-        stats_.detailInsts += ran;
-        stats_.detailCycles += cyc;
-    } else {
-        stats_.warmupInsts += ran;
-        stats_.warmupCycles += cyc;
+    // One knob drives both executors per core: a --blocks 0 run
+    // must be block-free in the fast-forward phases too.
+    for (cpu::Core *c : cores_) {
+        refs_.push_back(std::make_unique<check::RefCore>(
+            &image, &image.addressSpace()));
+        refs_.back()->setBlockDispatch(c->params().blockDispatch);
     }
-
-    // The quantum can overshoot by a synthetic resolver bulk-add;
-    // clamp. Phase transitions happen only when the budget is spent
-    // — a call returning mid-phase resumes the same phase on the
-    // next call, so the sample grid spans the whole run.
-    phaseLeft_ = ran >= phaseLeft_ ? 0 : phaseLeft_ - ran;
-    if (phaseLeft_ == 0) {
-        if (phase_ == Phase::Warmup) {
-            phase_ = Phase::Detail;
-            phaseLeft_ = params_.detail;
-        } else {
-            ++stats_.windows;
-            phase_ = Phase::FastForward;
-            phaseLeft_ = params_.fastforward;
-        }
-    }
-    return done;
-}
-
-bool
-SampledExecution::runFastForward(std::uint64_t &ff_insts)
-{
-    // Hand off: copy register state onto the functional engine. Its
-    // memory *is* the live address space, so no state is copied
-    // back for stores.
-    ref_.sync(core_.state());
-
-    bool done = false;
-    std::uint64_t executed = 0;
-    while (phaseLeft_ > 0) {
-        const auto r =
-            ref_.runFast(phaseLeft_, cpu::MagicReturnVa);
-        executed += r.steps;
-        phaseLeft_ -= r.steps;
-        if (r.stop == check::FastStop::Resolver) {
-            const auto cost = serviceResolverFunctional();
-            executed += cost;
-            phaseLeft_ =
-                cost >= phaseLeft_ ? 0 : phaseLeft_ - cost;
-            continue;
-        }
-        if (r.stop == check::FastStop::StopPc ||
-            r.stop == check::FastStop::Halted) {
-            done = true;
-        }
-        break;
-    }
-
-    stats_.ffInsts += executed;
-    ff_insts += executed;
-
-    // Hand back: the timing core adopts the functional state and
-    // resumes detailed execution. An attached observer (lockstep
-    // checker) resyncs as it would after a snapshot restore.
-    core_.setState(ref_.state());
-    if (auto *obs = core_.observer())
-        obs->onFastForward(core_.state());
-
-    if (phaseLeft_ == 0) {
-        phase_ =
-            params_.warmup > 0 ? Phase::Warmup : Phase::Detail;
-        phaseLeft_ =
-            params_.warmup > 0 ? params_.warmup : params_.detail;
-    }
-    return done;
-}
-
-std::uint64_t
-SampledExecution::serviceResolverFunctional()
-{
-    // The functional mirror of Core::serviceResolver, minus all
-    // timing: pop the PLT0 operands, run the linker, store the GOT
-    // entry architecturally. The skip unit still snoops the store
-    // (and performs the explicit-invalidation flush when that
-    // variant is configured) so ABTB entries can never go stale
-    // across a fast-forward phase — the checkSkips invariant holds
-    // in sampled runs too.
-    auto &st = ref_.state();
-    auto &as = ref_.memory();
-    auto &regs = st.regs;
-
-    const auto pop = [&]() -> std::uint64_t {
-        mem::MemFault fault = mem::MemFault::None;
-        const auto value = as.read64(regs[isa::RegSp], fault);
-        if (fault != mem::MemFault::None) {
-            throw cpu::SimError(
-                "sampled resolver: stack read fault at " +
-                hexAddr(regs[isa::RegSp]));
-        }
-        regs[isa::RegSp] += 8;
-        return value;
-    };
-
-    const auto module_id = static_cast<std::uint32_t>(pop());
-    const auto reloc_idx = static_cast<std::uint32_t>(pop());
-    const auto result = linker_.resolve(module_id, reloc_idx);
-
-    if (as.write64(result.gotAddr, result.value) !=
-        mem::MemFault::None) {
-        throw cpu::SimError("sampled resolver: GOT store fault at " +
-                            hexAddr(result.gotAddr));
-    }
-    if (auto *su = core_.skipUnit()) {
-        su->retireStore(result.gotAddr);
-        if (core_.params().skip.explicitInvalidation)
-            su->explicitFlush();
-    }
-
-    ++stats_.ffResolverTraps;
-    st.pc = result.target;
-    return core_.params().resolverInsts;
-}
-
-namespace
-{
-
-void
-reportSampledMetrics(const SampledStats &st,
-                     stats::MetricsRegistry &reg,
-                     const std::string &prefix)
-{
-    const std::string p = prefix + ".sampled.";
-    reg.counter(p + "windows", st.windows);
-    reg.counter(p + "detail_instructions", st.detailInsts);
-    reg.counter(p + "warmup_instructions", st.warmupInsts);
-    reg.counter(p + "ff_instructions", st.ffInsts);
-    reg.counter(p + "resolver_traps", st.ffResolverTraps);
-    reg.counter(p + "total_instructions", st.totalInsts());
-    reg.gauge(p + "coverage", st.coverage());
-    reg.gauge(p + "cpi", st.cpi());
-    reg.gauge(p + "extrapolated_cycles", st.extrapolatedCycles());
-    reg.gauge(p + "extrapolated_ipc",
-              st.extrapolatedCycles() > 0
-                  ? static_cast<double>(st.totalInsts()) /
-                        st.extrapolatedCycles()
-                  : 0.0);
-}
-
-} // namespace
-
-void
-SampledExecution::reportMetrics(stats::MetricsRegistry &reg,
-                                const std::string &prefix) const
-{
-    reportSampledMetrics(stats_, reg, prefix);
-}
-
-ServerSampler::ServerSampler(MultiCoreSystem &sys,
-                             linker::Image &image,
-                             linker::DynamicLinker &linker,
-                             const SampleParams &params)
-    : sys_(sys), image_(image), linker_(linker), params_(params)
-{
-    for (std::uint32_t i = 0; i < sys_.numCores(); ++i) {
-        auto ref = std::make_unique<check::RefCore>(
-            &image, &image.addressSpace());
-        // One knob drives both executors per core (--blocks 0).
-        ref->setBlockDispatch(
-            sys_.core(i).params().blockDispatch);
-        refs_.push_back(std::move(ref));
-    }
-    phase_ = params_.warmup > 0 ? Phase::Warmup : Phase::Detail;
-    phaseLeft_ =
-        params_.warmup > 0 ? params_.warmup : params_.detail;
+    enterDetailedPhase();
 }
 
 void
-ServerSampler::enterDetailedPhase()
+Sampler::enterDetailedPhase()
 {
     phase_ = params_.warmup > 0 ? Phase::Warmup : Phase::Detail;
     phaseLeft_ =
@@ -304,8 +122,7 @@ ServerSampler::enterDetailedPhase()
 }
 
 void
-ServerSampler::noteDetailed(std::uint64_t insts,
-                            std::uint64_t cycles)
+Sampler::noteDetailed(std::uint64_t insts, std::uint64_t cycles)
 {
     if (phase_ == Phase::FastForward || insts == 0)
         return;
@@ -317,6 +134,9 @@ ServerSampler::noteDetailed(std::uint64_t insts,
         stats_.warmupCycles += cycles;
     }
     // Synthetic resolver bulk-adds can overshoot the phase; clamp.
+    // Phase transitions happen only when the budget is spent — a
+    // call returning mid-phase resumes the same phase on the next
+    // call, so the sample grid spans the whole run.
     phaseLeft_ = insts >= phaseLeft_ ? 0 : phaseLeft_ - insts;
     if (phaseLeft_ == 0) {
         if (phase_ == Phase::Warmup) {
@@ -330,11 +150,11 @@ ServerSampler::noteDetailed(std::uint64_t insts,
     }
 }
 
-ServerSampler::FfSlice
-ServerSampler::runFunctionalSlice(std::uint32_t core,
-                                  std::uint64_t max_insts)
+Sampler::FfSlice
+Sampler::runFunctionalSlice(std::uint32_t core,
+                            std::uint64_t max_insts)
 {
-    cpu::Core &c = sys_.core(core);
+    cpu::Core &c = *cores_[core];
     check::RefCore &ref = *refs_[core];
 
     // Hand off this core's register file; memory is the live
@@ -367,35 +187,30 @@ ServerSampler::runFunctionalSlice(std::uint32_t core,
     if (phaseLeft_ == 0)
         enterDetailedPhase();
 
-    // Hand back, then resync every attached observer: the
-    // fast-forwarded stores landed in the shared address space
-    // behind the reference forks of *all* cores' checkers.
+    // Hand back, then resync every attached observer (lockstep
+    // checker) as after a snapshot restore: the fast-forwarded
+    // stores landed in the shared address space behind the
+    // reference forks of *all* cores' checkers.
     c.setState(ref.state());
-    for (std::uint32_t j = 0; j < sys_.numCores(); ++j) {
-        cpu::Core &sib = sys_.core(j);
-        if (auto *obs = sib.observer())
-            obs->onFastForward(sib.state());
+    for (cpu::Core *sib : cores_) {
+        if (auto *obs = sib->observer())
+            obs->onFastForward(sib->state());
     }
-
-    FfSlice slice;
-    slice.insts = executed;
-    slice.cycles = static_cast<std::uint64_t>(
-        static_cast<double>(executed) * stats_.cpi() + 0.5);
-    slice.done = done;
-    return slice;
+    return FfSlice{executed, done};
 }
 
 std::uint64_t
-ServerSampler::serviceResolverFunctional(std::uint32_t core)
+Sampler::serviceResolverFunctional(std::uint32_t core)
 {
-    // Mirror of Core::serviceResolver minus timing, plus the
-    // multicore coherence exact mode gets for free: the GOT store
-    // goes through the data path's snoop hook there, so here it is
-    // snooped onto every sibling explicitly. The executing core's
-    // skip unit retires the store (and performs the explicit-
-    // invalidation flush when configured) so no ABTB entry can go
-    // stale across a fast-forward phase.
-    cpu::Core &c = sys_.core(core);
+    // The functional mirror of Core::serviceResolver, minus all
+    // timing: pop the PLT0 operands, run the linker, store the GOT
+    // entry architecturally. The executing core's skip unit retires
+    // the store (and performs the explicit-invalidation flush when
+    // that variant is configured) so no ABTB entry can go stale
+    // across a fast-forward phase — the checkSkips invariant holds
+    // in sampled runs too. Exact mode snoops the store onto sibling
+    // cores through the data path's hook; here that is explicit.
+    cpu::Core &c = *cores_[core];
     check::RefCore &ref = *refs_[core];
     auto &st = ref.state();
     auto &as = ref.memory();
@@ -427,7 +242,8 @@ ServerSampler::serviceResolverFunctional(std::uint32_t core)
         if (c.params().skip.explicitInvalidation)
             su->explicitFlush();
     }
-    sys_.snoopStore(core, result.gotAddr);
+    if (sys_ != nullptr)
+        sys_->snoopStore(core, result.gotAddr);
 
     ++stats_.ffResolverTraps;
     st.pc = result.target;
@@ -435,10 +251,25 @@ ServerSampler::serviceResolverFunctional(std::uint32_t core)
 }
 
 void
-ServerSampler::reportMetrics(stats::MetricsRegistry &reg,
-                             const std::string &prefix) const
+Sampler::reportMetrics(stats::MetricsRegistry &reg,
+                       const std::string &prefix) const
 {
-    reportSampledMetrics(stats_, reg, prefix);
+    const SampledStats &st = stats_;
+    const std::string p = prefix + ".sampled.";
+    reg.counter(p + "windows", st.windows);
+    reg.counter(p + "detail_instructions", st.detailInsts);
+    reg.counter(p + "warmup_instructions", st.warmupInsts);
+    reg.counter(p + "ff_instructions", st.ffInsts);
+    reg.counter(p + "resolver_traps", st.ffResolverTraps);
+    reg.counter(p + "total_instructions", st.totalInsts());
+    reg.gauge(p + "coverage", st.coverage());
+    reg.gauge(p + "cpi", st.cpi());
+    reg.gauge(p + "extrapolated_cycles", st.extrapolatedCycles());
+    reg.gauge(p + "extrapolated_ipc",
+              st.extrapolatedCycles() > 0
+                  ? static_cast<double>(st.totalInsts()) /
+                        st.extrapolatedCycles()
+                  : 0.0);
 }
 
 } // namespace dlsim::sim

@@ -1,8 +1,8 @@
 /**
  * @file
- * SampledExecution: SMARTS-style sampled simulation for one core.
+ * SMARTS-style sampled simulation: one phase machine over N cores.
  *
- * Detailed timing simulation (cpu::Core::step) costs an order of
+ * Detailed timing simulation (cpu::Core) costs an order of
  * magnitude more host time per instruction than functional
  * execution. The paper's results only need detailed timing in
  * short, periodic windows, so a sampled run alternates three
@@ -22,17 +22,22 @@
  *                      as the architectural data path would), and
  *                      stores all land in the live address space.
  *
- * The phase machine persists across requests, so the sample grid is
- * laid over the whole run rather than per request. Cycle counts for
- * fast-forwarded instructions are extrapolated from the measured
- * CPI of completed detail windows; instruction counts are exact up
- * to trampoline elision (the functional engine executes the PLT
- * jumps the enhanced machine's ABTB would skip).
+ * One Sampler implements this for any number of cores: the phase
+ * machine runs over the combined instruction stream of all of
+ * them. workload::Workbench drives it with N = 1, request by
+ * request; os::Kernel drives it with the N cores of a
+ * MultiCoreSystem, slice by slice. The phase machine persists
+ * across requests and slices, so the sample grid is laid over the
+ * whole run. Cycle counts for fast-forwarded instructions are
+ * extrapolated from the measured CPI of completed detail windows;
+ * instruction counts are exact up to trampoline elision (the
+ * functional engine executes the PLT jumps the enhanced machine's
+ * ABTB would skip).
  *
- * Exact mode is untouched: sampling only exists on a Workbench that
- * explicitly attached a SampledExecution (BenchArgs --sample=W:D:F,
- * default off), and every golden/determinism contract is stated for
- * exact mode.
+ * Exact mode is untouched: sampling only exists on a Workbench or
+ * Server that explicitly called setSampling (BenchArgs
+ * --sample=W:D:F, default off), and every golden/determinism
+ * contract is stated for exact mode.
  */
 
 #ifndef DLSIM_SIM_SAMPLED_HH
@@ -133,129 +138,68 @@ struct SampledStats
 };
 
 /**
- * Drives one core's in-progress call (Core::beginCall) to
- * completion, alternating detailed sample windows and functional
- * fast-forward. One instance per Workbench; the phase machine and
- * stats persist across calls.
- */
-class SampledExecution
-{
-  public:
-    /** Estimated cost of one driven call. */
-    struct CallEstimate
-    {
-        /** Exact count of instructions the call retired (detailed
-         *  plus functional plus synthetic resolver cost). */
-        std::uint64_t instructions = 0;
-        /** Detailed cycles plus CPI-extrapolated ff cycles. */
-        std::uint64_t cycles = 0;
-    };
-
-    SampledExecution(cpu::Core &core, linker::Image &image,
-                     linker::DynamicLinker &linker,
-                     const SampleParams &params);
-
-    /** Run the call set up by Core::beginCall until it returns
-     *  (pc == MagicReturnVa) or the machine halts. */
-    CallEstimate runToReturn();
-
-    const SampleParams &params() const { return params_; }
-    const SampledStats &stats() const { return stats_; }
-
-    /** Zero the stats (phase machine keeps its position). */
-    void clearStats() { stats_ = SampledStats{}; }
-
-    /**
-     * Register `<prefix>.sampled.*`: the sample-grid work split,
-     * measured CPI, coverage, and the extrapolated totals. Only
-     * sampled runs carry these keys — exact-mode documents (and the
-     * metrics golden) are unchanged.
-     */
-    void reportMetrics(stats::MetricsRegistry &reg,
-                       const std::string &prefix) const;
-
-  private:
-    /** Run one detailed (warmup or detail) quantum.
-     *  @return True once the call has returned/halted. */
-    bool runDetailedPhase(std::uint64_t &det_insts,
-                          std::uint64_t &det_cycles);
-    /** Run one functional phase. @return True once done. */
-    bool runFastForward(std::uint64_t &ff_insts);
-    /** Service a resolver trap functionally; returns the synthetic
-     *  instruction cost (CoreParams::resolverInsts). */
-    std::uint64_t serviceResolverFunctional();
-
-    enum class Phase
-    {
-        Warmup,
-        Detail,
-        FastForward
-    };
-
-    cpu::Core &core_;
-    linker::Image &image_;
-    linker::DynamicLinker &linker_;
-    check::RefCore ref_;
-    SampleParams params_;
-    SampledStats stats_;
-    Phase phase_ = Phase::Warmup;
-    std::uint64_t phaseLeft_ = 0;
-};
-
-/**
- * Sampled execution for a MultiCoreSystem driven by an OS-like
- * scheduler (os::Kernel): one shared W:D:F phase machine laid over
- * the *combined* retired-instruction stream of all cores, with one
- * direct-memory RefCore per core for the fast-forward phases.
+ * The sampler: one W:D:F phase machine over the combined retired-
+ * instruction stream of its cores, plus one direct-memory RefCore
+ * per core for the fast-forward phases. It never runs a detailed
+ * instruction itself; its client does, and decides how long each
+ * slice may be:
  *
- * The scheduler stays in charge: it asks inFastForward() before
- * each slice and either runs the detailed core (reporting the
- * retired work through noteDetailed(), which advances the phase
- * machine) or calls runFunctionalSlice(), which executes up to the
- * slice budget functionally on that core's RefCore. Either way the
- * slice consumes the same number of scheduling-budget instructions
- * for the same architectural work, so on a machine without
- * trampoline elision every scheduling decision — dispatch order,
- * preemptions, blocking, wakeups, churn points — is byte-identical
- * to the exact-mode run; only cycle timing is extrapolated. (With
- * an ABTB, elision makes detailed windows retire fewer instructions
- * than functional execution of the same code, so quantum boundaries
- * shift; logical server counters remain exact, micro-counters are
- * approximate.)
+ *   while the call has not returned:
+ *     if inFastForward(): runFunctionalSlice(core, max_insts)
+ *     else:               Core::runQuantum(n); noteDetailed(...)
+ *
+ * workload::Workbench is the one-core client. It bounds each
+ * detailed quantum by the phase budget (phaseLeft()), and rounds a
+ * request's fast-forward cycles once, when the request returns
+ * (ffCycles over the request's fast-forwarded instructions).
+ *
+ * os::Kernel is the N-core client. It keeps its scheduling quantum,
+ * so a slice may straddle a phase flip. It rounds per slice. Either
+ * executor charges the same scheduling budget for the same
+ * architectural work, so on a machine without trampoline elision
+ * every scheduling decision (dispatch order, preemptions, blocking,
+ * wakeups, churn points) is byte-identical to the exact-mode run;
+ * only cycle timing is extrapolated. With an ABTB, elision makes
+ * detailed windows retire fewer instructions than functional
+ * execution of the same code, so quantum boundaries shift; logical
+ * server counters remain exact, micro-counters are approximate.
  *
  * Resolver traps inside a fast-forward phase are serviced
- * architecturally: the GOT store lands in the live address space,
- * the executing core's skip unit retires the store, and the store
- * is snooped onto every sibling through
- * MultiCoreSystem::snoopStore — tenant churn and lazy rebinding
- * behave exactly as in exact mode. Ordinary fast-forwarded data
- * stores are not snooped per-store (they land in the shared address
- * space directly); the only effect lost is timing-side cache
- * invalidations and conservative bloom-filter false-positive
- * flushes, never a stale skip.
+ * architecturally: the GOT store lands in the live address space
+ * and the executing core's skip unit retires it. A sampler built
+ * over a MultiCoreSystem also snoops the store onto every sibling
+ * (MultiCoreSystem::snoopStore), so tenant churn and lazy
+ * rebinding behave exactly as in exact mode. Ordinary
+ * fast-forwarded data stores are not snooped per store (they land
+ * in the shared address space directly); the only effect lost is
+ * timing-side cache invalidations and conservative bloom-filter
+ * false-positive flushes, never a stale skip.
  */
-class ServerSampler
+class Sampler
 {
   public:
-    ServerSampler(MultiCoreSystem &sys, linker::Image &image,
-                  linker::DynamicLinker &linker,
-                  const SampleParams &params);
+    /** Sample one core (no siblings, nothing to snoop). */
+    Sampler(cpu::Core &core, linker::Image &image,
+            linker::DynamicLinker &linker, const SampleParams &params);
+    /** Sample every core of `sys`. */
+    Sampler(MultiCoreSystem &sys, linker::Image &image,
+            linker::DynamicLinker &linker, const SampleParams &params);
 
-    /** True while the shared phase machine is in a fast-forward
-     *  phase — the scheduler should run functional slices. */
+    /** True while the phase machine is in a fast-forward phase —
+     *  the client should run functional slices. */
     bool inFastForward() const
     {
         return phase_ == Phase::FastForward;
     }
 
-    /** One functional slice's scheduling-relevant outcome. */
+    /** Instructions left in the current phase. */
+    std::uint64_t phaseLeft() const { return phaseLeft_; }
+
+    /** One functional slice's outcome. */
     struct FfSlice
     {
-        /** Instructions executed (incl. synthetic resolver cost) —
-         *  the scheduler charges these against its quantum. */
+        /** Instructions executed (incl. synthetic resolver cost). */
         std::uint64_t insts = 0;
-        /** CPI-extrapolated cycle cost of the slice. */
-        std::uint64_t cycles = 0;
         /** The in-progress call returned (or the machine halted). */
         bool done = false;
     };
@@ -279,18 +223,34 @@ class ServerSampler
      */
     void noteDetailed(std::uint64_t insts, std::uint64_t cycles);
 
+    /** Cycle cost of `insts` fast-forwarded instructions at the
+     *  measured CPI, rounded to the nearest cycle. */
+    std::uint64_t ffCycles(std::uint64_t insts) const
+    {
+        return static_cast<std::uint64_t>(
+            static_cast<double>(insts) * stats_.cpi() + 0.5);
+    }
+
     const SampleParams &params() const { return params_; }
     const SampledStats &stats() const { return stats_; }
 
     /** Zero the stats (phase machine keeps its position). */
     void clearStats() { stats_ = SampledStats{}; }
 
-    /** Register `<prefix>.sampled.*` (same keys as the single-core
-     *  sampler). */
+    /**
+     * Register `<prefix>.sampled.*`: the sample-grid work split,
+     * measured CPI, coverage, and the extrapolated totals. Only
+     * sampled runs carry these keys — exact-mode documents (and the
+     * metrics golden) are unchanged.
+     */
     void reportMetrics(stats::MetricsRegistry &reg,
                        const std::string &prefix) const;
 
   private:
+    Sampler(std::vector<cpu::Core *> cores, MultiCoreSystem *sys,
+            linker::Image &image, linker::DynamicLinker &linker,
+            const SampleParams &params);
+
     std::uint64_t serviceResolverFunctional(std::uint32_t core);
     void enterDetailedPhase();
 
@@ -301,8 +261,10 @@ class ServerSampler
         FastForward
     };
 
-    MultiCoreSystem &sys_;
-    linker::Image &image_;
+    std::vector<cpu::Core *> cores_;
+    /** Set when the cores are a MultiCoreSystem's: resolver GOT
+     *  stores are snooped onto the siblings. */
+    MultiCoreSystem *sys_;
     linker::DynamicLinker &linker_;
     std::vector<std::unique_ptr<check::RefCore>> refs_;
     SampleParams params_;

@@ -272,7 +272,7 @@ Workbench::setSampling(const sim::SampleParams &params)
         sampler_.reset();
         return;
     }
-    sampler_ = std::make_unique<sim::SampledExecution>(
+    sampler_ = std::make_unique<sim::Sampler>(
         *core_, *image_, *linker_, params);
 }
 
@@ -305,10 +305,31 @@ Workbench::runRequest(std::uint32_t kind)
 
     if (sampler_) {
         // Identical RNG draws, identical request: only the
-        // execution engine differs.
+        // execution engine differs. Detailed quanta stop at phase
+        // boundaries; the fast-forward share of the request's
+        // cycles is rounded once, at the CPI when it returns.
         core_->beginCall(handlerAddrs_[kind], work, seed);
-        const auto est = sampler_->runToReturn();
-        return RequestResult{kind, est.cycles, est.instructions};
+        std::uint64_t insts = 0, det_cycles = 0, ff_insts = 0;
+        for (bool done = false; !done;) {
+            if (sampler_->inFastForward()) {
+                const auto sl =
+                    sampler_->runFunctionalSlice(0, UINT64_MAX);
+                ff_insts += sl.insts;
+                done = sl.done;
+                continue;
+            }
+            const auto insts0 = core_->instructionsRetired();
+            const auto cycles0 = core_->cycleCount();
+            done = core_->runQuantum(sampler_->phaseLeft());
+            const auto ran = core_->instructionsRetired() - insts0;
+            const auto cyc = core_->cycleCount() - cycles0;
+            sampler_->noteDetailed(ran, cyc);
+            insts += ran;
+            det_cycles += cyc;
+        }
+        return RequestResult{kind,
+                             det_cycles + sampler_->ffCycles(ff_insts),
+                             insts + ff_insts};
     }
 
     const auto r =

@@ -164,7 +164,7 @@ class Workbench
      */
     void setSampling(const sim::SampleParams &params);
     bool sampling() const { return sampler_ != nullptr; }
-    const sim::SampledExecution *sampler() const
+    const sim::Sampler *sampler() const
     {
         return sampler_.get();
     }
@@ -225,7 +225,7 @@ class Workbench
     std::unique_ptr<linker::Image> image_;
     std::unique_ptr<linker::DynamicLinker> linker_;
     std::unique_ptr<cpu::Core> core_;
-    std::unique_ptr<sim::SampledExecution> sampler_;
+    std::unique_ptr<sim::Sampler> sampler_;
     std::vector<isa::Addr> handlerAddrs_;
     stats::Rng reqRng_;
     std::unique_ptr<stats::DiscreteDistribution> mix_;
