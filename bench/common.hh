@@ -386,7 +386,7 @@ measureArm(workload::Workbench &wb, int requests)
 /**
  * Run one arm of an experiment. With `sp.enabled` the arm runs in
  * sampled mode (detailed windows + functional fast-forward; see
- * sim::SampledExecution). A non-null `prog` supplies a pre-built
+ * sim::Sampler). A non-null `prog` supplies a pre-built
  * program shared across arms of the same workload.
  */
 inline ArmResult

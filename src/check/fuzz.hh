@@ -100,7 +100,7 @@ struct FuzzCase
      * deferred churns) must equal exact mode; when the machine has
      * no trampoline elision (baseMachine) every kernel counter must
      * too — scheduling consumes identical instruction budgets
-     * either way (see sim::ServerSampler).
+     * either way (see sim::Sampler).
      */
     std::string sample;
     /** Disable the §3 skip unit (MachineConfig::enhanced = false):

@@ -16,7 +16,7 @@
  * identical to the unmodified system" contract (paper §3).
  *
  * A RefCore can alternatively be bound *directly* to an address
- * space instead of forking one. sim::SampledExecution uses this to
+ * space instead of forking one. sim::Sampler uses this to
  * fast-forward the live machine between detailed-timing sample
  * windows: functional stores land in the real process image, so
  * when the timing core resumes, architectural state is exactly what

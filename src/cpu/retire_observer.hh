@@ -108,7 +108,7 @@ class RetireObserver
 
     /**
      * The core's architectural state was replaced wholesale after a
-     * functional fast-forward phase (sim::SampledExecution): the
+     * functional fast-forward phase (sim::Sampler): the
      * skipped retires were executed on a functional engine with
      * stores applied to the real address space, and `state` is the
      * machine at the point detailed execution resumes. An observer

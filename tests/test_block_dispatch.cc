@@ -79,7 +79,7 @@ TEST(BlockDispatch, SampledFastForwardOnVsOffByteIdentical)
 {
     // Sampled mode routes fast-forward through RefCore, whose
     // block-chained engine follows the core's blockDispatch knob
-    // (sim::SampledExecution ties them together).
+    // (sim::Sampler ties them together).
     const auto run = [](bool blocks) {
         sim::SampleParams sp;
         sim::SampleParams::parse("2000:2000:20000", sp);

@@ -105,9 +105,21 @@ parse(int argc, char **argv, Options &opt)
     int positional = 0;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next_int = [&](long def) {
-            return i + 1 < argc ? std::atol(argv[++i]) : def;
-        };
+        // A valued option missing its value is a usage error, never
+        // a silent default.
+        static const char *const valued[] = {
+            "--bind-policy", "--requests", "--warmup", "--abtb-entries",
+            "--seed",        "--jobs",     "--json-out"};
+        const char *val = nullptr;
+        if (std::find(std::begin(valued), std::end(valued), arg) !=
+            std::end(valued)) {
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "%s requires a value\n",
+                             arg.c_str());
+                return false;
+            }
+            val = argv[++i];
+        }
         if (arg == "--enhanced") {
             opt.enhanced = true;
         } else if (arg == "--arm") {
@@ -117,14 +129,8 @@ parse(int argc, char **argv, Options &opt)
         } else if (arg == "--eager") {
             opt.bindPolicy = linker::BindPolicy::Now;
         } else if (arg == "--bind-policy") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "--bind-policy requires a name\n");
-                return false;
-            }
             try {
-                opt.bindPolicy =
-                    linker::parseBindPolicy(argv[++i]);
+                opt.bindPolicy = linker::parseBindPolicy(val);
             } catch (const std::exception &e) {
                 std::fprintf(stderr, "%s\n", e.what());
                 return false;
@@ -132,16 +138,15 @@ parse(int argc, char **argv, Options &opt)
         } else if (arg == "--aslr") {
             opt.aslr = true;
         } else if (arg == "--requests") {
-            opt.requests = static_cast<int>(next_int(500));
+            opt.requests = std::atoi(val);
         } else if (arg == "--warmup") {
-            opt.warmup = static_cast<int>(next_int(100));
+            opt.warmup = std::atoi(val);
         } else if (arg == "--abtb-entries") {
-            opt.abtbEntries =
-                static_cast<std::uint32_t>(next_int(256));
+            opt.abtbEntries = static_cast<std::uint32_t>(std::atol(val));
         } else if (arg == "--seed") {
-            opt.seed = static_cast<std::uint64_t>(next_int(42));
+            opt.seed = static_cast<std::uint64_t>(std::atol(val));
         } else if (arg == "--jobs") {
-            const long n = next_int(0);
+            const long n = std::atol(val);
             if (n < 1) {
                 std::fprintf(stderr,
                              "--jobs requires a count >= 1\n");
@@ -149,8 +154,7 @@ parse(int argc, char **argv, Options &opt)
             }
             opt.jobs = static_cast<unsigned>(n);
         } else if (arg == "--json-out") {
-            if (i + 1 < argc)
-                opt.jsonOut = argv[++i];
+            opt.jsonOut = val;
         } else if (arg.rfind("--", 0) == 0) {
             std::fprintf(stderr, "unknown option %s\n",
                          arg.c_str());

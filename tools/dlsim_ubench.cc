@@ -11,7 +11,7 @@
  *                     per-instruction engine
  *   refcore+blocks    check::RefCore, block-chained engine
  *
- * The RefCore rows run through sim::SampledExecution with a
+ * The RefCore rows run through sim::Sampler with a
  * degenerate 0:1:1000000000 sample spec — one detailed instruction
  * per billion fast-forwarded — so they exercise the exact
  * fast-forward machinery fig5 --sample rows use (including
