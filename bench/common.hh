@@ -28,6 +28,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,6 +39,7 @@
 #include "snapshot/io.hh"
 #include "snapshot/serializer.hh"
 #include "stats/cdf.hh"
+#include "stats/flags.hh"
 #include "stats/histogram.hh"
 #include "stats/metrics.hh"
 #include "stats/table.hh"
@@ -48,166 +50,61 @@ namespace dlsim::bench
 {
 
 /**
- * Command-line arguments shared by every bench binary.
- *
- * Accepted flags (and nothing else — unknown flags, positional
- * arguments and duplicated flags are rejected with exit code 2):
- *
- *   --jobs N         run the measurement grid on N host threads
- *                    (default: affinity-mask CPUs; 1 = serial)
- *   --quick          shrink warmup/request counts ~8x for smoke
- *                    runs and wall-clock comparisons
- *   --sample W:D:F   sampled execution (default off = exact mode):
- *                    alternate W detailed warmup + D detailed
- *                    measured + F functional fast-forward insts
- *   --seed N         workload RNG seed (default 42)
- *   --blocks 0|1     disable/enable basic-block dispatch in both
- *                    executors (default 1; purely a simulator-speed
- *                    knob, metrics are byte-identical either way)
- *   --bind-policy P  loader arm: lazy (default), now, stable
- *                    (memoized resolutions, no lazy traps), or
- *                    demand (demand-paged libraries). Changes the
- *                    machine under test, so snapshots taken under
- *                    one policy do not restore under another.
- *   --json-out FILE  write a dlsim-metrics-v1 JSON document
- *   --snapshot-after FILE  snapshot-capable benches: also write the
- *                    post-warm-up machine state to FILE
- *   --from-snapshot FILE   snapshot-capable benches: restore the
- *                    warm state from FILE instead of simulating the
- *                    warm-up phase; output is byte-identical
- *   --help           print this usage text and exit 0
+ * Command-line arguments shared by every bench binary, declared in
+ * one stats::FlagTable (run any bench with --help for the list).
+ * A bench with flags of its own declares them through `extra`.
  */
 class BenchArgs
 {
   public:
-    /**
-     * A benchmark-specific integer flag (e.g. server_traffic's
-     * --requests). Parsed with the same strictness as the shared
-     * flags: duplicates and missing values die with exit 2, and the
-     * flag appears in --help.
-     */
-    struct ExtraFlag
-    {
-        const char *name; ///< Without the leading "--".
-        const char *help; ///< One-line description.
-        long long value;  ///< Default in, parsed value out.
-    };
-
-    BenchArgs(const char *tool, int argc, char **argv)
-        : BenchArgs(tool, argc, argv, {})
-    {
-    }
-
     BenchArgs(const char *tool, int argc, char **argv,
-              std::vector<ExtraFlag> extras)
-        : tool_(tool), extras_(std::move(extras))
+              const std::function<void(stats::FlagTable &)> &extra =
+                  {})
+        : tool_(tool)
     {
-        std::vector<bool> saw_extra(extras_.size(), false);
-        bool saw_jobs = false, saw_json = false;
-        bool saw_seed = false, saw_snap = false, saw_from = false;
-        bool saw_sample = false, saw_blocks = false;
-        bool saw_policy = false;
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--help" || arg == "-h") {
-                printHelp(stdout);
-                std::exit(0);
-            } else if (arg == "--quick") {
-                quick_ = true;
-            } else if (arg == "--jobs") {
-                if (saw_jobs)
-                    die("duplicate --jobs");
-                saw_jobs = true;
-                if (i + 1 >= argc)
-                    die("--jobs requires a count");
-                const long n = std::atol(argv[++i]);
-                if (n < 1)
-                    die("--jobs requires a count >= 1");
-                jobs_ = static_cast<unsigned>(n);
-            } else if (arg == "--sample" ||
-                       arg.rfind("--sample=", 0) == 0) {
-                if (saw_sample)
-                    die("duplicate --sample");
-                saw_sample = true;
-                std::string spec;
-                if (arg == "--sample") {
-                    if (i + 1 >= argc)
-                        die("--sample requires a W:D:F spec");
-                    spec = argv[++i];
-                } else {
-                    spec = arg.substr(9);
-                }
-                std::string error;
-                if (!sim::SampleParams::parse(spec, sample_,
-                                              &error))
-                    die(("--sample: " + error).c_str());
-            } else if (arg == "--seed") {
-                if (saw_seed)
-                    die("duplicate --seed");
-                saw_seed = true;
-                if (i + 1 >= argc)
-                    die("--seed requires a value");
-                seed_ = static_cast<std::uint64_t>(
-                    std::atoll(argv[++i]));
-            } else if (arg == "--blocks") {
-                if (saw_blocks)
-                    die("duplicate --blocks");
-                saw_blocks = true;
-                if (i + 1 >= argc)
-                    die("--blocks requires 0 or 1");
-                const std::string v = argv[++i];
-                if (v != "0" && v != "1")
-                    die("--blocks requires 0 or 1");
-                blocks_ = v == "1";
-            } else if (arg == "--bind-policy") {
-                if (saw_policy)
-                    die("duplicate --bind-policy");
-                saw_policy = true;
-                if (i + 1 >= argc)
-                    die("--bind-policy requires a name");
-                try {
-                    bindPolicy_ =
-                        linker::parseBindPolicy(argv[++i]);
-                } catch (const std::exception &e) {
-                    die(e.what());
-                }
-            } else if (arg == "--json-out") {
-                if (saw_json)
-                    die("duplicate --json-out");
-                saw_json = true;
-                if (i + 1 >= argc)
-                    die("--json-out requires a path");
-                jsonOut_ = argv[++i];
-            } else if (arg == "--snapshot-after") {
-                if (saw_snap)
-                    die("duplicate --snapshot-after");
-                saw_snap = true;
-                if (i + 1 >= argc)
-                    die("--snapshot-after requires a path");
-                snapshotAfter_ = argv[++i];
-            } else if (arg == "--from-snapshot") {
-                if (saw_from)
-                    die("duplicate --from-snapshot");
-                saw_from = true;
-                if (i + 1 >= argc)
-                    die("--from-snapshot requires a path");
-                fromSnapshot_ = argv[++i];
-            } else {
-                std::size_t e = 0;
-                for (; e < extras_.size(); ++e)
-                    if (arg == "--" + std::string(extras_[e].name))
-                        break;
-                if (e == extras_.size())
-                    die(("unknown argument '" + arg + "'")
-                            .c_str());
-                if (saw_extra[e])
-                    die(("duplicate " + arg).c_str());
-                saw_extra[e] = true;
-                if (i + 1 >= argc)
-                    die((arg + " requires a value").c_str());
-                extras_[e].value = std::atoll(argv[++i]);
-            }
-        }
+        stats::FlagTable flags(tool);
+        flags
+            .integer("jobs",
+                     "host threads for the arm grid (default: all CPUs)",
+                     jobs_, 1)
+            .toggle("quick",
+                    "shrink warm-up/request counts ~8x for smoke runs",
+                    quick_)
+            .custom("sample", "W:D:F",
+                    "sampled mode: W warm-up + D measured detailed, "
+                    "F fast-forward insts",
+                    [this](const std::string &spec) {
+                        std::string error;
+                        if (!sim::SampleParams::parse(spec, sample_,
+                                                      &error))
+                            throw std::invalid_argument(error);
+                    })
+            .integer("seed", "workload RNG seed (default 42)", seed_, 0)
+            .custom("blocks", "0|1",
+                    "block dispatch off/on (default 1; same metrics)",
+                    [this](const std::string &v) {
+                        if (v != "0" && v != "1")
+                            throw std::invalid_argument(
+                                "expected 0 or 1, got '" + v + "'");
+                        blocks_ = v == "1";
+                    })
+            .custom("bind-policy", "P",
+                    "loader arm: lazy (default), now, stable or demand",
+                    [this](const std::string &v) {
+                        bindPolicy_ = linker::parseBindPolicy(v);
+                    })
+            .text("json-out", "FILE",
+                  "also write a dlsim-metrics-v1 JSON document",
+                  jsonOut_)
+            .text("snapshot-after", "FILE",
+                  "write the post-warm-up state (snapshot benches)",
+                  snapshotAfter_)
+            .text("from-snapshot", "FILE",
+                  "restore the warm state (snapshot benches)",
+                  fromSnapshot_);
+        if (extra)
+            extra(flags);
+        flags.parse(argc, argv);
         if (jobs_ == 0)
             jobs_ = sim::JobRunner::defaultJobs();
     }
@@ -236,86 +133,7 @@ class BenchArgs
         return quick_ ? std::max(1, n / 8) : n;
     }
 
-    /** Value of a registered ExtraFlag (default or parsed). */
-    long long
-    extra(const char *name) const
-    {
-        for (const ExtraFlag &e : extras_)
-            if (std::string(e.name) == name)
-                return e.value;
-        std::abort(); // Flag was never registered: caller bug.
-    }
-
   private:
-    void
-    printHelp(std::FILE *to) const
-    {
-        std::fprintf(
-            to,
-            "usage: %s [--jobs N] [--quick] [--sample W:D:F] "
-            "[--seed N]\n"
-            "       [--json-out FILE] [--snapshot-after FILE]\n"
-            "       [--from-snapshot FILE]\n"
-            "\n"
-            "  --jobs N         run independent experiment arms "
-            "on N host\n"
-            "                   threads (default: hardware "
-            "concurrency;\n"
-            "                   1 = serial). Output is "
-            "byte-identical for\n"
-            "                   every N.\n"
-            "  --quick          shrink warmup/request counts "
-            "(~8x) for\n"
-            "                   smoke runs\n"
-            "  --sample W:D:F   sampled execution (default off = "
-            "exact):\n"
-            "                   alternate W warmup + D measured "
-            "detailed\n"
-            "                   instructions with F functional "
-            "fast-forward\n"
-            "                   instructions; cycles are CPI "
-            "extrapolations\n"
-            "  --seed N         workload RNG seed (default 42)\n"
-            "  --blocks 0|1     disable/enable basic-block "
-            "dispatch in\n"
-            "                   both executors (default 1; "
-            "metrics are\n"
-            "                   byte-identical either way)\n"
-            "  --bind-policy P  loader arm: lazy (default), now,\n"
-            "                   stable (memoized resolutions, no "
-            "lazy\n"
-            "                   traps), or demand (demand-paged\n"
-            "                   libraries)\n"
-            "  --json-out FILE  also write a dlsim-metrics-v1 "
-            "JSON\n"
-            "                   document to FILE\n"
-            "  --snapshot-after FILE\n"
-            "                   snapshot-capable benches: also "
-            "write the\n"
-            "                   post-warm-up machine state to "
-            "FILE\n"
-            "  --from-snapshot FILE\n"
-            "                   snapshot-capable benches: restore "
-            "the warm\n"
-            "                   state from FILE instead of "
-            "simulating the\n"
-            "                   warm-up; output is "
-            "byte-identical\n"
-            "  --help           show this text\n",
-            tool_.c_str());
-        for (const ExtraFlag &e : extras_)
-            std::fprintf(to, "  --%-14s %s (default %lld)\n",
-                         e.name, e.help, e.value);
-    }
-
-    [[noreturn]] void
-    die(const char *message) const
-    {
-        std::fprintf(stderr, "%s: %s\n", tool_.c_str(), message);
-        printHelp(stderr);
-        std::exit(2);
-    }
-
     std::string tool_;
     unsigned jobs_ = 0;
     bool quick_ = false;
@@ -326,7 +144,6 @@ class BenchArgs
     std::string jsonOut_;
     std::string snapshotAfter_;
     std::string fromSnapshot_;
-    std::vector<ExtraFlag> extras_;
 };
 
 /** Result of one measured arm. */

@@ -209,18 +209,33 @@ mergeShards(const std::vector<ShardResult> &shards)
 int
 main(int argc, char **argv)
 {
+    std::uint64_t requests = 1000000;
+    std::uint64_t churn = 50000;
+    std::uint64_t warm = 20000;
+    std::uint32_t tenants = 4;
+    std::uint32_t shards = 2;
     BenchArgs args(
-        "server_traffic", argc, argv,
-        {{"requests", "total requests to serve per arm", 1000000},
-         {"tenants", "tenant plugin count", 4},
-         {"churn",
-          "served requests between tenant reloads (0 = off)",
-          50000},
-         {"warm",
-          "requests served before the measurement checkpoint",
-          20000},
-         {"shards",
-          "independent request-mix shards per arm", 2}});
+        "server_traffic", argc, argv, [&](stats::FlagTable &flags) {
+            flags
+                .integer("requests",
+                         "total requests to serve per arm "
+                         "(default 1000000)",
+                         requests, 0)
+                .integer("tenants", "tenant plugin count (default 4)",
+                         tenants, 1)
+                .integer("churn",
+                         "requests between tenant reloads (0 = off; "
+                         "default 50000)",
+                         churn, 0)
+                .integer("warm",
+                         "requests served before the checkpoint "
+                         "(default 20000)",
+                         warm, 0)
+                .integer("shards",
+                         "independent request-mix shards per arm "
+                         "(default 2)",
+                         shards, 1);
+        });
     banner("Multi-tenant server traffic over the OS layer, "
            "base vs enhanced",
            "Sections 3.2/3.3 under plugin churn and "
@@ -228,16 +243,6 @@ main(int argc, char **argv)
 
     // --quick shrinks harder than the shared /8: a full run is a
     // million requests.
-    std::uint64_t requests =
-        static_cast<std::uint64_t>(args.extra("requests"));
-    std::uint64_t churn =
-        static_cast<std::uint64_t>(args.extra("churn"));
-    std::uint64_t warm =
-        static_cast<std::uint64_t>(args.extra("warm"));
-    const auto tenants =
-        static_cast<std::uint32_t>(args.extra("tenants"));
-    const auto shards = std::max<std::uint32_t>(
-        1, static_cast<std::uint32_t>(args.extra("shards")));
     if (args.quick()) {
         requests = std::max<std::uint64_t>(240, requests / 2000);
         warm = std::max<std::uint64_t>(120, warm / 100);

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "os/server.hh"
 #include "sim/multicore.hh"
 #include "sim/sampled.hh"
 #include "snapshot/serializer.hh"
+#include "stats/flags.hh"
 #include "stats/metrics.hh"
 #include "stats/rng.hh"
 #include "workload/engine.hh"
@@ -812,39 +815,76 @@ caseFromSeed(std::uint64_t seed)
     return c;
 }
 
+void
+addCaseFlags(stats::FlagTable &flags, FuzzCase &c)
+{
+    flags.integer("seed", "case seed (default 1)", c.seed)
+        .integer("cores", "cores; >1 drives a MultiCoreSystem", c.cores,
+                 1)
+        .integer("requests", "requests per case", c.requests)
+        .integer("events", "FuzzEvent bitmask", c.eventsMask)
+        .integer("event-count", "scheduled adversarial events",
+                 c.eventCount)
+        .integer("abtb-entries", "ABTB capacity", c.abtbEntries, 1)
+        .integer("abtb-assoc", "ABTB associativity", c.abtbAssoc, 1)
+        .integer("bloom-bits", "bloom filter bits", c.bloomBits)
+        .integer("bloom-hashes", "bloom filter hash count",
+                 c.bloomHashes)
+        .integer("num-libs", "shared libraries", c.numLibs)
+        .integer("funcs-per-lib", "functions per library",
+                 c.funcsPerLib)
+        .integer("called-imports", "imports the requests call",
+                 c.calledImports)
+        .integer("steps", "steps per request", c.stepsPerRequest)
+        .toggle("server", "drive an os::Server with tenant plugins",
+                c.server)
+        .integer("tenants", "tenant plugins (server mode)", c.tenants)
+        .onlyWith(c.server)
+        .custom(
+            "sample", "W:D:F", "server mode: add a sampled twin run",
+            [&c](const std::string &spec) {
+                sim::SampleParams sp;
+                std::string error;
+                if (!sim::SampleParams::parse(spec, sp, &error))
+                    throw std::invalid_argument(error);
+                c.sample = spec;
+            },
+            [&c] {
+                return c.sample.empty()
+                           ? std::nullopt
+                           : std::optional<std::string>(c.sample);
+            })
+        .toggle("base-machine", "disable the skip unit", c.baseMachine)
+        .toggle("explicit-invalidation",
+                "explicit invalidation (paper section 3.4)",
+                c.explicitInvalidation)
+        .toggle("asid-retention", "ASID-tagged ABTB entries",
+                c.asidRetention)
+        .toggle("arm-plt", "ARM-style trampolines", c.armPlt)
+        .custom(
+            "bind-policy", "P", "lazy (default), now, stable or demand",
+            [&c](const std::string &v) {
+                c.bindPolicy = linker::parseBindPolicy(v);
+            },
+            [&c] {
+                return c.bindPolicy == linker::BindPolicy::Lazy
+                           ? std::nullopt
+                           : std::optional<std::string>(
+                                 linker::bindPolicyName(c.bindPolicy));
+            })
+        .toggle("aslr", "randomise library placement", c.aslr)
+        .toggle("inject-bug-config",
+                "fault injection: suppress the section 3.2 store flush",
+                c.injectFlushSuppression);
+}
+
 std::string
 reproLine(const FuzzCase &c)
 {
-    std::ostringstream os;
-    os << "dlsim_fuzz --seed " << c.seed << " --cores " << c.cores
-       << " --requests " << c.requests << " --events "
-       << c.eventsMask << " --event-count " << c.eventCount
-       << " --abtb-entries " << c.abtbEntries << " --abtb-assoc "
-       << c.abtbAssoc << " --bloom-bits " << c.bloomBits
-       << " --bloom-hashes " << c.bloomHashes << " --num-libs "
-       << c.numLibs << " --funcs-per-lib " << c.funcsPerLib
-       << " --called-imports " << c.calledImports << " --steps "
-       << c.stepsPerRequest;
-    if (c.server)
-        os << " --server --tenants " << c.tenants;
-    if (!c.sample.empty())
-        os << " --sample " << c.sample;
-    if (c.baseMachine)
-        os << " --base-machine";
-    if (c.explicitInvalidation)
-        os << " --explicit-invalidation";
-    if (c.asidRetention)
-        os << " --asid-retention";
-    if (c.armPlt)
-        os << " --arm-plt";
-    if (c.bindPolicy != linker::BindPolicy::Lazy)
-        os << " --bind-policy "
-           << linker::bindPolicyName(c.bindPolicy);
-    if (c.aslr)
-        os << " --aslr";
-    if (c.injectFlushSuppression)
-        os << " --inject-bug-config";
-    return os.str();
+    FuzzCase copy = c;
+    stats::FlagTable flags("dlsim_fuzz");
+    addCaseFlags(flags, copy);
+    return "dlsim_fuzz" + flags.render();
 }
 
 FuzzResult

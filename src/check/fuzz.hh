@@ -32,6 +32,7 @@
 
 #include "check/lockstep.hh"
 #include "linker/loader.hh"
+#include "stats/flags.hh"
 
 namespace dlsim::check
 {
@@ -131,6 +132,8 @@ struct FuzzCase
     /** Fault injection: suppress the §3.2 store flush, proving the
      *  oracle catches a broken invalidation path. */
     bool injectFlushSuppression = false;
+
+    bool operator==(const FuzzCase &) const = default;
 };
 
 /** Outcome of one case (or one shrunk failure). */
@@ -154,6 +157,13 @@ struct FuzzResult
 
 /** Derive a randomized case from a seed (the fuzzing frontier). */
 FuzzCase caseFromSeed(std::uint64_t seed);
+
+/**
+ * Declare every FuzzCase field as a flag of `flags`, bound to `c`:
+ * the one field<->flag mapping that dlsim_fuzz parses and reproLine
+ * renders.
+ */
+void addCaseFlags(stats::FlagTable &flags, FuzzCase &c);
 
 /** Replayable `dlsim_fuzz` command line reproducing `c`. */
 std::string reproLine(const FuzzCase &c);

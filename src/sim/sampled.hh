@@ -36,7 +36,7 @@
  *
  * Exact mode is untouched: sampling only exists on a Workbench or
  * Server that explicitly called setSampling (BenchArgs
- * --sample=W:D:F, default off), and every golden/determinism
+ * --sample W:D:F, default off), and every golden/determinism
  * contract is stated for exact mode.
  */
 

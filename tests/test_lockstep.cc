@@ -8,8 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "check/fuzz.hh"
 #include "check/lockstep.hh"
+#include "stats/flags.hh"
 #include "workload/engine.hh"
 #include "workload/profiles.hh"
 
@@ -226,4 +232,37 @@ TEST(Lockstep, ShrinkerReducesFailingCase)
     // The repro line round-trips every field that matters.
     EXPECT_NE(reproLine(small).find("--inject-bug-config"),
               std::string::npos);
+}
+
+/** Parse a repro line back through the shared FuzzCase flag table. */
+FuzzCase
+parseRepro(const std::string &line)
+{
+    std::istringstream words(line);
+    const std::vector<std::string> args{
+        std::istream_iterator<std::string>(words), {}};
+    std::vector<const char *> argv;
+    for (const std::string &a : args)
+        argv.push_back(a.c_str());
+    FuzzCase c;
+    stats::FlagTable flags("dlsim_fuzz");
+    addCaseFlags(flags, c);
+    EXPECT_TRUE(
+        flags.parse(static_cast<int>(argv.size()), argv.data()).empty());
+    return c;
+}
+
+TEST(Lockstep, ReproLineRoundTrips)
+{
+    // Every smoke archetype and a range of seeded cases: the printed
+    // command line must parse back into the case it came from.
+    std::vector<FuzzCase> cases = smokeCases();
+    for (std::uint64_t seed = 1; seed <= 300; ++seed)
+        cases.push_back(caseFromSeed(seed));
+    for (const FuzzCase &c : cases) {
+        const std::string line = reproLine(c);
+        const FuzzCase parsed = parseRepro(line);
+        EXPECT_EQ(reproLine(parsed), line);
+        EXPECT_TRUE(parsed == c) << line;
+    }
 }

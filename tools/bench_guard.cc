@@ -14,7 +14,7 @@
  * `jobs` context value: a run pair whose job counts differ is
  * reported and skipped, never failed.
  *
- * Usage:
+ * Usage (`bench_guard --help` lists the flags):
  *   bench_guard --committed FILE --fresh FILE [--tolerance 0.20]
  *   bench_guard --self-test
  *
@@ -32,6 +32,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "stats/flags.hh"
 
 namespace
 {
@@ -528,24 +530,22 @@ main(int argc, char **argv)
     std::string committedPath;
     std::string freshPath;
     double tolerance = 0.20;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--self-test")
-            return selfTest();
-        if (arg == "--committed" && i + 1 < argc) {
-            committedPath = argv[++i];
-        } else if (arg == "--fresh" && i + 1 < argc) {
-            freshPath = argv[++i];
-        } else if (arg == "--tolerance" && i + 1 < argc) {
-            tolerance = std::strtod(argv[++i], nullptr);
-        } else {
-            std::fprintf(
-                stderr,
-                "usage: bench_guard --committed FILE --fresh FILE "
-                "[--tolerance 0.20] | --self-test\n");
-            return 2;
-        }
-    }
+    bool selfTestOnly = false;
+    dlsim::stats::FlagTable(
+        "bench_guard",
+        "--committed FILE --fresh FILE [--tolerance X] | --self-test")
+        .text("committed", "FILE", "the committed BENCH_wallclock.json",
+              committedPath)
+        .text("fresh", "FILE", "a freshly measured BENCH_wallclock.json",
+              freshPath)
+        .real("tolerance",
+              "largest tolerated speedup regression (default 0.20)",
+              tolerance)
+        .toggle("self-test", "run the built-in checks and exit",
+                selfTestOnly)
+        .parse(argc, argv);
+    if (selfTestOnly)
+        return selfTest();
     if (committedPath.empty() || freshPath.empty()) {
         std::fprintf(stderr,
                      "bench_guard: --committed and --fresh are "

@@ -18,7 +18,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -217,19 +216,13 @@ main(int argc, char **argv)
 {
     bool quick = false;
     std::string outDir = ".";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            quick = true;
-        } else if (std::strcmp(argv[i], "--out-dir") == 0 &&
-                   i + 1 < argc) {
-            outDir = argv[++i];
-        } else {
-            std::fprintf(stderr,
-                         "usage: bench_to_json [--quick] "
-                         "[--out-dir DIR]\n");
-            return 2;
-        }
-    }
+    stats::FlagTable("bench_to_json")
+        .toggle("quick", "shrink every calibration for a smoke run",
+                quick)
+        .text("out-dir", "DIR",
+              "where to write BENCH_{table4,fig5}.json (default .)",
+              outDir)
+        .parse(argc, argv);
 
     stats::MetricsDocument table4("bench_to_json table4");
     buildTable4(table4, quick);

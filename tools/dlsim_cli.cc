@@ -4,49 +4,20 @@
  * machine configuration and print the counter report, record retire
  * traces, or sweep ABTB sizes against a recorded trace.
  *
- * Usage:
- *   dlsim_cli run <workload> [options]
- *   dlsim_cli record <workload> <trace-file> [options]
- *   dlsim_cli replay <trace-file> [--abtb-entries N]...
- *   dlsim_cli sweep <trace-file> [--jobs N]
- *   dlsim_cli snapshot save <workload> <file> [options]
- *   dlsim_cli snapshot restore <workload> <file> [options]
+ * `dlsim_cli --help` lists the commands and options.
  *
  * `snapshot save` warms a workload up (--warmup requests) and
  * serializes the complete machine state; `snapshot restore` — given
  * the same workload/machine options — restores it and runs the
  * measured phase without re-simulating the warm-up. A snapshot
  * whose magic, version, CRCs, or parameter fingerprint do not
- * match is rejected (exit 1), never partially loaded.
- *
- * Options for run/record:
- *   --enhanced            enable the trampoline-skip hardware
- *   --requests N          measured requests (default 500)
- *   --warmup N            warmup requests (default 100)
- *   --abtb-entries N      ABTB capacity (default 256)
- *   --arm                 ARM-style trampolines
- *   --explicit-inval      §3.4 alternate implementation
- *   --eager               BIND_NOW-style eager binding (alias for
- *                         --bind-policy now)
- *   --bind-policy P       loader policy: lazy (default), now,
- *                         stable (memoized resolutions, no lazy
- *                         traps), demand (demand-paged libraries)
- *   --aslr                randomise library placement
- *   --seed N              workload seed (default 42)
- *
- * All commands additionally accept:
- *   --json-out FILE       write a dlsim-metrics-v1 JSON document
- *                         alongside the human-readable output
- *   --jobs N              host threads for independent sweep
- *                         points (default: hardware concurrency;
- *                         1 = serial; output is byte-identical
- *                         for every N)
+ * match is rejected (exit 1), never partially loaded. `sweep` runs
+ * its points on --jobs host threads; output is byte-identical for
+ * every N.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <iterator>
 #include <stdexcept>
@@ -55,6 +26,7 @@
 
 #include "sim/job_runner.hh"
 #include "snapshot/io.hh"
+#include "stats/flags.hh"
 #include "stats/metrics.hh"
 #include "trace/replay.hh"
 #include "workload/engine.hh"
@@ -84,120 +56,68 @@ struct Options
     unsigned jobs = 0; // 0 = hardware concurrency
 };
 
-int
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: dlsim_cli run|record|replay|sweep"
-                 "|snapshot ...\n"
-                 "       dlsim_cli snapshot save|restore "
-                 "<workload> <file>\n"
-                 "see the file header for options\n");
-    return 2;
-}
-
+/** Declare every option, parse, then dispatch the positionals. */
 bool
 parse(int argc, char **argv, Options &opt)
 {
-    if (argc < 2)
-        return false;
-    opt.command = argv[1];
-    int positional = 0;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        // A valued option missing its value is a usage error, never
-        // a silent default.
-        static const char *const valued[] = {
-            "--bind-policy", "--requests", "--warmup", "--abtb-entries",
-            "--seed",        "--jobs",     "--json-out"};
-        const char *val = nullptr;
-        if (std::find(std::begin(valued), std::end(valued), arg) !=
-            std::end(valued)) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a value\n",
-                             arg.c_str());
-                return false;
-            }
-            val = argv[++i];
-        }
-        if (arg == "--enhanced") {
-            opt.enhanced = true;
-        } else if (arg == "--arm") {
-            opt.arm = true;
-        } else if (arg == "--explicit-inval") {
-            opt.explicitInval = true;
-        } else if (arg == "--eager") {
-            opt.bindPolicy = linker::BindPolicy::Now;
-        } else if (arg == "--bind-policy") {
-            try {
-                opt.bindPolicy = linker::parseBindPolicy(val);
-            } catch (const std::exception &e) {
-                std::fprintf(stderr, "%s\n", e.what());
-                return false;
-            }
-        } else if (arg == "--aslr") {
-            opt.aslr = true;
-        } else if (arg == "--requests") {
-            opt.requests = std::atoi(val);
-        } else if (arg == "--warmup") {
-            opt.warmup = std::atoi(val);
-        } else if (arg == "--abtb-entries") {
-            opt.abtbEntries = static_cast<std::uint32_t>(std::atol(val));
-        } else if (arg == "--seed") {
-            opt.seed = static_cast<std::uint64_t>(std::atol(val));
-        } else if (arg == "--jobs") {
-            const long n = std::atol(val);
-            if (n < 1) {
-                std::fprintf(stderr,
-                             "--jobs requires a count >= 1\n");
-                return false;
-            }
-            opt.jobs = static_cast<unsigned>(n);
-        } else if (arg == "--json-out") {
-            opt.jsonOut = val;
-        } else if (arg.rfind("--", 0) == 0) {
-            std::fprintf(stderr, "unknown option %s\n",
-                         arg.c_str());
-            return false;
-        } else if (positional == 0) {
-            if (opt.command == "replay" ||
-                opt.command == "sweep") {
-                opt.tracePath = arg;
-            } else if (opt.command == "snapshot") {
-                opt.subcommand = arg;
-            } else {
-                opt.workload = arg;
-            }
-            ++positional;
-        } else if (positional == 1) {
-            if (opt.command == "snapshot")
-                opt.workload = arg;
-            else
-                opt.tracePath = arg;
-            ++positional;
-        } else if (positional == 2 &&
-                   opt.command == "snapshot") {
-            opt.tracePath = arg;
-            ++positional;
-        }
-    }
-    if (opt.command == "run" || opt.command == "record") {
-        if (opt.workload.empty())
-            return false;
-    }
-    if (opt.command == "record" || opt.command == "replay" ||
-        opt.command == "sweep") {
-        if (opt.tracePath.empty())
-            return false;
-    }
+    stats::FlagTable flags("dlsim_cli",
+                           "<command> [options]\n\n"
+                           "commands:\n"
+                           "  run <workload>\n"
+                           "  record <workload> <trace-file>\n"
+                           "  replay <trace-file>\n"
+                           "  sweep <trace-file>\n"
+                           "  snapshot save|restore <workload> <file>");
+    flags.toggle("enhanced", "enable the trampoline-skip hardware",
+                 opt.enhanced)
+        .integer("requests", "measured requests (default 500)",
+                 opt.requests, 1)
+        .integer("warmup", "warm-up requests (default 100)",
+                 opt.warmup, 0)
+        .integer("abtb-entries", "ABTB capacity (default 256)",
+                 opt.abtbEntries, 1)
+        .toggle("arm", "ARM-style trampolines", opt.arm)
+        .toggle("explicit-inval",
+                "explicit invalidation (paper section 3.4)",
+                opt.explicitInval)
+        .custom("bind-policy", "P",
+                "loader policy: lazy (default), now, stable or demand",
+                [&opt](const std::string &v) {
+                    opt.bindPolicy = linker::parseBindPolicy(v);
+                })
+        .toggle("aslr", "randomise library placement", opt.aslr)
+        .integer("seed", "workload seed (default 42)", opt.seed, 0)
+        .integer("jobs",
+                 "host threads for sweep points (default: all CPUs)",
+                 opt.jobs, 1)
+        .text("json-out", "FILE",
+              "also write a dlsim-metrics-v1 JSON document",
+              opt.jsonOut);
+    const auto pos = flags.parse(argc, argv, 4);
+    const auto at = [&pos](std::size_t i) {
+        return i < pos.size() ? pos[i] : std::string();
+    };
+    opt.command = at(0);
+    bool ok = false;
     if (opt.command == "snapshot") {
-        if (opt.subcommand != "save" &&
-            opt.subcommand != "restore")
-            return false;
-        if (opt.workload.empty() || opt.tracePath.empty())
-            return false;
+        opt.subcommand = at(1);
+        opt.workload = at(2);
+        opt.tracePath = at(3);
+        ok = (opt.subcommand == "save" ||
+              opt.subcommand == "restore") &&
+             !opt.workload.empty() && !opt.tracePath.empty();
+    } else if (opt.command == "replay" || opt.command == "sweep") {
+        opt.tracePath = at(1);
+        ok = !opt.tracePath.empty();
+    } else if (opt.command == "run" || opt.command == "record") {
+        opt.workload = at(1);
+        opt.tracePath = at(2);
+        ok = !opt.workload.empty() &&
+             (opt.command == "run" || !opt.tracePath.empty());
     }
-    return true;
+    if (!ok)
+        flags.printUsage(stderr);
+    return ok;
 }
 
 /** Write `doc` if --json-out was given; true unless I/O failed. */
@@ -474,7 +394,7 @@ main(int argc, char **argv)
 {
     Options opt;
     if (!parse(argc, argv, opt))
-        return usage();
+        return 2;
     try {
         if (opt.command == "run")
             return cmdRun(opt);
@@ -484,13 +404,10 @@ main(int argc, char **argv)
             return cmdReplay(opt);
         if (opt.command == "sweep")
             return cmdSweep(opt);
-        if (opt.command == "snapshot")
-            return opt.subcommand == "save"
-                       ? cmdSnapshotSave(opt)
-                       : cmdSnapshotRestore(opt);
+        return opt.subcommand == "save" ? cmdSnapshotSave(opt)
+                                        : cmdSnapshotRestore(opt);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
     }
-    return usage();
 }

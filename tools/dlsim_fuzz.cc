@@ -20,12 +20,11 @@
  *       Fuzz seeds A..B via caseFromSeed. On failure, greedily
  *       shrink and print a replayable command line.
  *   dlsim_fuzz [case flags]
- *       Replay a single case (the command line printed on failure).
+ *       Replay a single case (the command line printed on failure;
+ *       `dlsim_fuzz --help` lists the flags).
  */
 
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -36,12 +35,6 @@ namespace
 
 using dlsim::check::FuzzCase;
 using dlsim::check::FuzzResult;
-
-std::uint64_t
-parseU64(const char *s)
-{
-    return std::strtoull(s, nullptr, 0);
-}
 
 void
 printResult(const FuzzCase &c, const FuzzResult &r)
@@ -221,104 +214,29 @@ main(int argc, char **argv)
     std::uint32_t shrink_budget = 48;
     FuzzCase c;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::cerr << arg << " needs a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg == "--inject-bug") {
-            inject = true;
-        } else if (arg == "--seeds") {
-            const std::string v = next();
-            const auto colon = v.find(':');
-            seed_lo = parseU64(v.c_str());
-            seed_hi = colon == std::string::npos
-                          ? seed_lo
-                          : parseU64(v.c_str() + colon + 1);
-            have_seeds = true;
-        } else if (arg == "--shrink-budget") {
-            shrink_budget =
-                static_cast<std::uint32_t>(parseU64(next()));
-        } else if (arg == "--seed") {
-            c.seed = parseU64(next());
-        } else if (arg == "--cores") {
-            c.cores = static_cast<std::uint32_t>(parseU64(next()));
-        } else if (arg == "--requests") {
-            c.requests =
-                static_cast<std::uint32_t>(parseU64(next()));
-        } else if (arg == "--server") {
-            c.server = true;
-        } else if (arg == "--sample") {
-            c.sample = next();
-        } else if (arg == "--base-machine") {
-            c.baseMachine = true;
-        } else if (arg == "--tenants") {
-            c.tenants =
-                static_cast<std::uint32_t>(parseU64(next()));
-        } else if (arg == "--events") {
-            c.eventsMask =
-                static_cast<std::uint32_t>(parseU64(next()));
-        } else if (arg == "--event-count") {
-            c.eventCount =
-                static_cast<std::uint32_t>(parseU64(next()));
-        } else if (arg == "--abtb-entries") {
-            c.abtbEntries =
-                static_cast<std::uint32_t>(parseU64(next()));
-        } else if (arg == "--abtb-assoc") {
-            c.abtbAssoc =
-                static_cast<std::uint32_t>(parseU64(next()));
-        } else if (arg == "--bloom-bits") {
-            c.bloomBits =
-                static_cast<std::uint32_t>(parseU64(next()));
-        } else if (arg == "--bloom-hashes") {
-            c.bloomHashes =
-                static_cast<std::uint32_t>(parseU64(next()));
-        } else if (arg == "--num-libs") {
-            c.numLibs = static_cast<std::uint32_t>(parseU64(next()));
-        } else if (arg == "--funcs-per-lib") {
-            c.funcsPerLib =
-                static_cast<std::uint32_t>(parseU64(next()));
-        } else if (arg == "--called-imports") {
-            c.calledImports =
-                static_cast<std::uint32_t>(parseU64(next()));
-        } else if (arg == "--steps") {
-            c.stepsPerRequest =
-                static_cast<std::uint32_t>(parseU64(next()));
-        } else if (arg == "--explicit-invalidation") {
-            c.explicitInvalidation = true;
-        } else if (arg == "--asid-retention") {
-            c.asidRetention = true;
-        } else if (arg == "--arm-plt") {
-            c.armPlt = true;
-        } else if (arg == "--eager-binding") {
-            // Back-compat alias for --bind-policy now.
-            c.bindPolicy = dlsim::linker::BindPolicy::Now;
-        } else if (arg == "--bind-policy") {
-            try {
-                c.bindPolicy =
-                    dlsim::linker::parseBindPolicy(next());
-            } catch (const std::exception &e) {
-                std::cerr << e.what() << "\n";
-                return 2;
-            }
-        } else if (arg == "--aslr") {
-            c.aslr = true;
-        } else if (arg == "--inject-bug-config") {
-            c.injectFlushSuppression = true;
-        } else {
-            std::cerr << "unknown flag " << arg << "\n"
-                      << "modes: --smoke | --inject-bug | "
-                         "--seeds A:B [--shrink-budget N] | "
-                         "[case flags] (see docs/testing.md)\n";
-            return 2;
-        }
-    }
+    dlsim::stats::FlagTable flags(
+        "dlsim_fuzz", "--smoke | --inject-bug | --seeds A:B "
+                      "[--shrink-budget N] | [case flags]");
+    flags.toggle("smoke", "run the deterministic smoke corpus", smoke)
+        .toggle("inject-bug",
+                "show the oracle catching a planted flush bug", inject)
+        .custom("seeds", "A:B", "fuzz seeds A..B; shrink failures",
+                [&](const std::string &v) {
+                    const auto colon = v.find(':');
+                    seed_lo = dlsim::stats::parseUnsigned(
+                        v.substr(0, colon), 0, UINT64_MAX);
+                    seed_hi = colon == std::string::npos
+                                  ? seed_lo
+                                  : dlsim::stats::parseUnsigned(
+                                        v.substr(colon + 1), 0,
+                                        UINT64_MAX);
+                    have_seeds = true;
+                })
+        .integer("shrink-budget",
+                 "re-runs spent shrinking a failure (default 48)",
+                 shrink_budget);
+    dlsim::check::addCaseFlags(flags, c);
+    flags.parse(argc, argv);
 
     if (smoke)
         return runSmoke();

@@ -23,18 +23,16 @@
  * ctest (timing on shared CI hosts is noise); the reproducible
  * speedup record lives in BENCH_wallclock.json (bench_wallclock).
  *
- * Usage: dlsim_ubench [--profile NAME] [--warmup N] [--requests N]
- *                     [--seed N]
+ * Usage: dlsim_ubench --help
  */
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "sim/sampled.hh"
+#include "stats/flags.hh"
 #include "workload/engine.hh"
 #include "workload/profiles.hh"
 
@@ -50,23 +48,6 @@ struct Options
     int requests = 300;
     std::uint64_t seed = 42;
 };
-
-[[noreturn]] void
-usage(int code)
-{
-    std::fprintf(
-        code == 0 ? stdout : stderr,
-        "usage: dlsim_ubench [--profile apache|firefox|memcached|"
-        "mysql]\n"
-        "                    [--warmup N] [--requests N] "
-        "[--seed N]\n"
-        "\n"
-        "Prints host retired-instructions/second for the detailed\n"
-        "core and the RefCore fast-forward engine, each with block\n"
-        "dispatch off and on. Wall-clock-based: run on an idle\n"
-        "host; not a correctness test.\n");
-    std::exit(code);
-}
 
 struct ModeResult
 {
@@ -121,41 +102,22 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "dlsim_ubench: %s requires a value\n",
-                             arg.c_str());
-                usage(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h")
-            usage(0);
-        else if (arg == "--profile")
-            opt.profile = value();
-        else if (arg == "--warmup")
-            opt.warmup = std::atoi(value());
-        else if (arg == "--requests")
-            opt.requests = std::atoi(value());
-        else if (arg == "--seed")
-            opt.seed =
-                static_cast<std::uint64_t>(std::atoll(value()));
-        else {
-            std::fprintf(stderr,
-                         "dlsim_ubench: unknown argument '%s'\n",
-                         arg.c_str());
-            usage(2);
-        }
-    }
-    if (opt.warmup < 0 || opt.requests < 1) {
-        std::fprintf(stderr,
-                     "dlsim_ubench: --warmup must be >= 0 and "
-                     "--requests >= 1\n");
-        return 2;
-    }
+    stats::FlagTable(
+        "dlsim_ubench",
+        "[options]\n\n"
+        "Prints host retired-instructions/second for the detailed\n"
+        "core and the RefCore fast-forward engine, each with block\n"
+        "dispatch off and on. Wall-clock-based: run on an idle\n"
+        "host; not a correctness test.")
+        .text("profile", "NAME",
+              "apache (default), firefox, memcached or mysql",
+              opt.profile)
+        .integer("warmup", "warm-up requests (default 60)", opt.warmup,
+                 0)
+        .integer("requests", "measured requests (default 300)",
+                 opt.requests, 1)
+        .integer("seed", "workload seed (default 42)", opt.seed, 0)
+        .parse(argc, argv);
 
     std::printf("dlsim_ubench: profile=%s warmup=%d requests=%d "
                 "seed=%llu\n\n",
