@@ -10,7 +10,11 @@
  */
 
 #include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "os/sched.hh"
 #include "sim/multicore.hh"
 #include "workload/engine.hh"
 #include "workload/profiles.hh"
@@ -32,22 +36,32 @@ main()
     sim::MultiCoreSystem system(params, wb.image(), wb.linker(),
                                 wb.loader().stackTop());
 
+    // Threads run on os::Kernel, the one scheduler: each round
+    // spawns one thread per core, each making one GET call.
+    os::Kernel kernel(os::KernelParams{}, system, wb.image(),
+                      wb.linker());
     const auto handler = wb.handlerAddress(0); // GET
 
     std::printf("4 threads serving memcached GETs, ABTB on every "
                 "core\n\n");
     std::printf("%-8s %-14s %-14s %-10s\n", "round",
-                "thread cycles", "skipped", "coh.flushes");
+                "round cycles", "skipped", "coh.flushes");
     for (int round = 0; round < 6; ++round) {
-        const auto results = system.runOnAll(
-            handler, {{1, 11}, {1, 22}, {1, 33}, {1, 44}});
+        const auto start = kernel.now();
+        for (std::uint64_t t = 0; t < 4; ++t) {
+            kernel.spawn(std::make_unique<os::CallThread>(
+                             std::vector<os::SimCall>{
+                                 {handler, 1, 11 * (t + 1), t}}),
+                         "get" + std::to_string(t));
+        }
+        kernel.run();
 
         std::uint64_t skipped = 0;
         for (std::uint32_t c = 0; c < system.numCores(); ++c)
             skipped +=
                 system.core(c).counters().skippedTrampolines;
         std::printf("%-8d %-14llu %-14llu %-10llu\n", round,
-                    (unsigned long long)results[0].cycles,
+                    (unsigned long long)(kernel.now() - start),
                     (unsigned long long)skipped,
                     (unsigned long long)
                         system.totalCoherenceFlushes());

@@ -90,7 +90,7 @@ makeSchedule(const FuzzCase &c)
     std::vector<Event> events;
     std::uint32_t mask = c.eventsMask;
     if (c.cores > 1)
-        mask &= ~EvSnapshot; // MultiCoreSystem has no snapshots.
+        mask &= ~EvSnapshot; // The kernel drivers take none.
     if (c.server) {
         // The kernel owns context switches and snapshots don't
         // compose with live kernel threads; churn, GOT traffic,
@@ -135,11 +135,14 @@ makeSchedule(const FuzzCase &c)
     return events;
 }
 
-/** (module id, import index) universe for event operands. */
-std::vector<std::pair<std::uint16_t, std::uint32_t>>
+/** A GOT slot as (module id, import index). */
+using GotSlot = std::pair<std::uint16_t, std::uint32_t>;
+
+/** The GOT slots event operands pick from. */
+std::vector<GotSlot>
 gotSlotUniverse(const linker::Image &image)
 {
-    std::vector<std::pair<std::uint16_t, std::uint32_t>> slots;
+    std::vector<GotSlot> slots;
     for (const auto &m : image.modules()) {
         for (std::uint32_t k = 0;
              k < static_cast<std::uint32_t>(m.gotSlotAddrs.size());
@@ -257,6 +260,103 @@ addSkipStats(core::SkipUnitStats &into, const cpu::Core &core)
 }
 
 /**
+ * The one event applier of every driver: events hit the workbench's
+ * image and the cores that run it (one, or every core of a kernel's
+ * system). GOT events reach every core as §3.2 coherence traffic —
+ * Core::onExternalGotWrite also tells the core's checker. The churn
+ * events need `server`; EvSnapshot is the single-core driver's own.
+ */
+struct EventApplier
+{
+    Workbench *wb;
+    std::vector<cpu::Core *> cores;
+    std::vector<GotSlot> slots;
+    const WorkloadParams &wl;
+    const MachineConfig &mc;
+    os::Server *server = nullptr;
+    std::vector<std::uint16_t> asidToggle =
+        std::vector<std::uint16_t>(cores.size(), 0);
+
+    void broadcast(isa::Addr addr) const
+    {
+        for (auto *core : cores)
+            core->onExternalGotWrite(addr);
+    }
+
+    void apply(const Event &e)
+    {
+        auto &image = wb->image();
+        auto &as = image.addressSpace();
+        cpu::Core &core = *cores[e.a % cores.size()];
+        switch (e.kind) {
+          case EvGotRewriteSame: {
+            if (slots.empty())
+                break;
+            const auto [mid, imp] = slots[e.a % slots.size()];
+            const isa::Addr slot = image.moduleAt(mid).gotSlotAddrs[imp];
+            as.poke64(slot, as.peek64(slot));
+            broadcast(slot);
+            break;
+          }
+          case EvRebind: {
+            if (slots.empty())
+                break;
+            const auto [mid, imp] = slots[e.a % slots.size()];
+            const auto &m = image.moduleAt(mid);
+            as.poke64(m.gotSlotAddrs[imp], m.lazyGotValue(imp));
+            broadcast(m.gotSlotAddrs[imp]);
+            // §3.4 software contract: in the explicit arm a GOT
+            // rewrite must be followed by an AbtbFlush on every hart.
+            for (auto *hart : cores) {
+                if (mc.explicitInvalidation && hart->skipUnit())
+                    hart->skipUnit()->explicitFlush();
+            }
+            break;
+          }
+          case EvNoiseStore: {
+            if (wl.appDataBytes < 8)
+                break;
+            const isa::Addr addr = image.moduleAt(0).dataBase +
+                                   (e.a % (wl.appDataBytes / 8)) * 8;
+            as.poke64(addr, e.b);
+            broadcast(addr);
+            break;
+          }
+          case EvContextSwitch: {
+            // Never with a server, whose tenants own the ASIDs: the
+            // threads here all run in one address space, so the
+            // toggled ASID just forces the §3.3 flushes on a core.
+            auto &toggle = asidToggle[e.a % cores.size()];
+            toggle ^= 1;
+            core.contextSwitch(&image, &wb->linker(), toggle);
+            break;
+          }
+          case EvSpuriousFlush:
+            if (auto *unit = core.skipUnit())
+                unit->explicitFlush();
+            break;
+          case EvDemandDrop:
+            // Demand-fault storm: evict every demand-paged text
+            // page; the refill regenerates identical bytes, so the
+            // oracle must see no architectural difference.
+            as.dropDemandTextPages();
+            break;
+          case EvTenantChurn:
+          case EvStableChurn:
+            server->requestChurn(static_cast<std::uint32_t>(
+                e.a % server->params().tenants));
+            // A stable churn then proves the memoized resolution
+            // map is still coherent with the live module table.
+            if (e.kind == EvStableChurn)
+                checkStableMapCoherence(*wb);
+            break;
+          default:
+            break;
+        }
+    }
+};
+
+/**
  * Single-core driver: requests run incrementally so events (and
  * snapshot round-trips) land at scheduled retire offsets. Offsets
  * use >=-semantics against instructionsRetired() — the resolver's
@@ -271,79 +371,26 @@ runSingleCore(const FuzzCase &c, const WorkloadParams &wl,
     auto wb = std::make_unique<Workbench>(wl, mc);
     auto checker = std::make_unique<LockstepChecker>(wb->core());
     wb->core().setRetireObserver(checker.get());
-
-    const auto slots = gotSlotUniverse(wb->image());
-    std::uint16_t asid_toggle = 0;
+    EventApplier events{wb.get(), {&wb->core()},
+                        gotSlotUniverse(wb->image()), wl, mc};
     LockstepStats accum{};
 
     const auto applyEvent = [&](const Event &e) {
-        switch (e.kind) {
-          case EvGotRewriteSame: {
-            if (slots.empty())
-                break;
-            const auto [mid, imp] = slots[e.a % slots.size()];
-            const isa::Addr slot =
-                wb->image().moduleAt(mid).gotSlotAddrs[imp];
-            auto &as = wb->image().addressSpace();
-            as.poke64(slot, as.peek64(slot));
-            wb->core().onExternalGotWrite(slot);
-            break;
-          }
-          case EvRebind: {
-            if (slots.empty())
-                break;
-            const auto [mid, imp] = slots[e.a % slots.size()];
-            const auto &m = wb->image().moduleAt(mid);
-            const isa::Addr slot = m.gotSlotAddrs[imp];
-            wb->image().addressSpace().poke64(slot,
-                                              m.lazyGotValue(imp));
-            wb->core().onExternalGotWrite(slot);
-            // §3.4 software contract: in the explicit arm a GOT
-            // rewrite must be followed by an architectural flush.
-            if (mc.explicitInvalidation && wb->core().skipUnit())
-                wb->core().skipUnit()->explicitFlush();
-            break;
-          }
-          case EvNoiseStore: {
-            const auto &app = wb->image().moduleAt(0);
-            if (wl.appDataBytes < 8)
-                break;
-            const isa::Addr addr =
-                app.dataBase + (e.a % (wl.appDataBytes / 8)) * 8;
-            wb->image().addressSpace().poke64(addr, e.b);
-            wb->core().onExternalGotWrite(addr);
-            break;
-          }
-          case EvContextSwitch:
-            asid_toggle ^= 1;
-            wb->core().contextSwitch(&wb->image(), &wb->linker(),
-                                     asid_toggle);
-            break;
-          case EvSpuriousFlush:
-            if (wb->core().skipUnit())
-                wb->core().skipUnit()->explicitFlush();
-            break;
-          case EvDemandDrop:
-            // Demand-fault storm: evict every demand-paged text
-            // page; the refill regenerates identical bytes, so the
-            // oracle must see no architectural difference.
-            wb->image().addressSpace().dropDemandTextPages();
-            break;
-          case EvSnapshot: {
-            if (!apply_snapshots)
-                break;
-            const auto bytes = workload::snapshotWorkbench(*wb);
-            accumulate(accum, checker->stats());
-            auto fresh = std::make_unique<Workbench>(wl, mc);
-            workload::restoreWorkbench(*fresh, bytes.data(),
-                                       bytes.size());
-            wb = std::move(fresh);
-            checker =
-                std::make_unique<LockstepChecker>(wb->core());
-            wb->core().setRetireObserver(checker.get());
-            break;
-          }
+        if (e.kind != EvSnapshot) {
+            events.apply(e);
+            return;
         }
+        if (!apply_snapshots)
+            return;
+        const auto bytes = workload::snapshotWorkbench(*wb);
+        accumulate(accum, checker->stats());
+        auto fresh = std::make_unique<Workbench>(wl, mc);
+        workload::restoreWorkbench(*fresh, bytes.data(), bytes.size());
+        wb = std::move(fresh);
+        checker = std::make_unique<LockstepChecker>(wb->core());
+        wb->core().setRetireObserver(checker.get());
+        events.wb = wb.get();
+        events.cores = {&wb->core()};
     };
 
     std::size_t ev = 0;
@@ -393,10 +440,58 @@ runSingleCore(const FuzzCase &c, const WorkloadParams &wl,
 }
 
 /**
- * Multicore driver: rounds of runOnAll() (deterministic round-robin
- * interleaving; cross-core stores reach sibling checkers through
- * the coherence snoop) with external events applied at round
- * boundaries and broadcast to every core.
+ * The multi-core drivers' shared body: every core of `k`'s system
+ * runs under its own lockstep checker for the whole run. The
+ * checkers fork reference memory when they attach here, so every
+ * thread stack must already be mapped; later remaps (tenant churn)
+ * resync them through the server's observer fast-forward. Each
+ * scheduled event lands after 1 + offset % 9 more scheduler rounds
+ * and the kernel then drains.
+ */
+RunOutput
+runOnKernel(os::Kernel &k, EventApplier &events,
+            const std::vector<Event> &schedule)
+{
+    auto &sys = k.system();
+    std::vector<std::unique_ptr<LockstepChecker>> checkers;
+    for (std::uint32_t i = 0; i < sys.numCores(); ++i) {
+        checkers.push_back(
+            std::make_unique<LockstepChecker>(sys.core(i)));
+        sys.core(i).setRetireObserver(checkers.back().get());
+    }
+
+    for (const auto &e : schedule) {
+        if (!k.runRounds(1 + e.offset % 9))
+            events.apply(e);
+    }
+    k.run();
+
+    RunOutput out;
+    for (std::uint32_t i = 0; i < sys.numCores(); ++i) {
+        accumulate(out.stats, checkers[i]->stats());
+        const std::string who = "core" + std::to_string(i);
+        checkFlushAccounting(sys.core(i), who.c_str());
+        addSkipStats(out.skip, sys.core(i));
+    }
+    out.kernel = k.stats();
+    return out;
+}
+
+/** Every core of `sys`, for an EventApplier. */
+std::vector<cpu::Core *>
+coresOf(sim::MultiCoreSystem &sys)
+{
+    std::vector<cpu::Core *> cores;
+    for (std::uint32_t i = 0; i < sys.numCores(); ++i)
+        cores.push_back(&sys.core(i));
+    return cores;
+}
+
+/**
+ * Multicore driver: one kernel thread per core, each making one
+ * call per request into that request's handler (kind and arguments
+ * drawn per request and thread). Cross-core stores reach sibling
+ * checkers through the coherence snoop.
  */
 RunOutput
 runMultiCore(const FuzzCase &c, const WorkloadParams &wl,
@@ -406,113 +501,34 @@ runMultiCore(const FuzzCase &c, const WorkloadParams &wl,
     Workbench wb(wl, mc);
     sim::MultiCoreParams mp;
     mp.numCores = c.cores;
-    mp.quantum = 100 + c.seed % 151;
     mp.core = workload::makeCoreParams(mc);
     sim::MultiCoreSystem sys(mp, wb.image(), wb.linker(),
                              wb.loader().stackTop());
-
-    // Checkers fork reference memory at attach, so they must be
-    // built after the system maps the per-thread stacks.
-    std::vector<std::unique_ptr<LockstepChecker>> checkers;
-    for (std::uint32_t i = 0; i < sys.numCores(); ++i) {
-        checkers.push_back(
-            std::make_unique<LockstepChecker>(sys.core(i)));
-        sys.core(i).setRetireObserver(checkers.back().get());
-    }
-
-    const auto slots = gotSlotUniverse(wb.image());
-    std::vector<std::uint16_t> asid_toggle(sys.numCores(), 0);
-
-    const auto applyEvent = [&](const Event &e) {
-        switch (e.kind) {
-          case EvGotRewriteSame: {
-            if (slots.empty())
-                break;
-            const auto [mid, imp] = slots[e.a % slots.size()];
-            const isa::Addr slot =
-                wb.image().moduleAt(mid).gotSlotAddrs[imp];
-            auto &as = wb.image().addressSpace();
-            as.poke64(slot, as.peek64(slot));
-            sys.broadcastGotWrite(slot);
-            break;
-          }
-          case EvRebind: {
-            if (slots.empty())
-                break;
-            const auto [mid, imp] = slots[e.a % slots.size()];
-            const auto &m = wb.image().moduleAt(mid);
-            const isa::Addr slot = m.gotSlotAddrs[imp];
-            wb.image().addressSpace().poke64(slot,
-                                             m.lazyGotValue(imp));
-            sys.broadcastGotWrite(slot);
-            if (mc.explicitInvalidation) {
-                // §3.4 on SMP: software flushes every hart.
-                for (std::uint32_t i = 0; i < sys.numCores(); ++i) {
-                    if (auto *unit = sys.core(i).skipUnit())
-                        unit->explicitFlush();
-                }
-            }
-            break;
-          }
-          case EvNoiseStore: {
-            const auto &app = wb.image().moduleAt(0);
-            if (wl.appDataBytes < 8)
-                break;
-            const isa::Addr addr =
-                app.dataBase + (e.a % (wl.appDataBytes / 8)) * 8;
-            wb.image().addressSpace().poke64(addr, e.b);
-            sys.broadcastGotWrite(addr);
-            break;
-          }
-          case EvContextSwitch: {
-            const std::uint32_t i =
-                static_cast<std::uint32_t>(e.a % sys.numCores());
-            asid_toggle[i] ^= 1;
-            sys.core(i).contextSwitch(&wb.image(), &wb.linker(),
-                                      asid_toggle[i]);
-            break;
-          }
-          case EvSpuriousFlush: {
-            const std::uint32_t i =
-                static_cast<std::uint32_t>(e.a % sys.numCores());
-            if (auto *unit = sys.core(i).skipUnit())
-                unit->explicitFlush();
-            break;
-          }
-          case EvDemandDrop:
-            wb.image().addressSpace().dropDemandTextPages();
-            break;
-          default:
-            break;
-        }
-    };
+    os::KernelParams kp;
+    kp.quantum = 100 + c.seed % 151;
+    os::Kernel kernel(kp, sys, wb.image(), wb.linker());
 
     stats::Rng rng(c.seed ^ 0x9c0fe5ull);
-    std::size_t ev = 0;
+    std::vector<std::vector<os::SimCall>> calls(sys.numCores());
     for (std::uint32_t r = 0; r < c.requests; ++r) {
         const auto kind = static_cast<std::uint32_t>(
             rng.nextBelow(wl.requests.size()));
         const auto &rc = wl.requests[kind];
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> args;
         for (std::uint32_t i = 0; i < sys.numCores(); ++i) {
-            args.emplace_back(rng.nextRange(rc.minWork, rc.maxWork),
-                              rng.next() | 1);
-        }
-        sys.runOnAll(wb.handlerAddress(kind), args);
-        while (ev < schedule.size() && schedule[ev].request == r) {
-            applyEvent(schedule[ev]);
-            ++ev;
+            calls[i].push_back({wb.handlerAddress(kind),
+                                rng.nextRange(rc.minWork, rc.maxWork),
+                                rng.next() | 1, i});
         }
     }
-
-    RunOutput out;
     for (std::uint32_t i = 0; i < sys.numCores(); ++i) {
-        accumulate(out.stats, checkers[i]->stats());
-        const std::string who = "core" + std::to_string(i);
-        checkFlushAccounting(sys.core(i), who.c_str());
-        addSkipStats(out.skip, sys.core(i));
+        kernel.spawn(
+            std::make_unique<os::CallThread>(std::move(calls[i])),
+            "thread" + std::to_string(i), /*asid=*/0,
+            /*eager_stack=*/true);
     }
-    return out;
+    EventApplier events{&wb, coresOf(sys), gotSlotUniverse(wb.image()),
+                        wl, mc};
+    return runOnKernel(kernel, events, schedule);
 }
 
 /**
@@ -523,8 +539,7 @@ runMultiCore(const FuzzCase &c, const WorkloadParams &wl,
  * rest of the adversarial surface — quantum-expiry context switches
  * in the middle of trampoline sequences, ASID switches per tenant,
  * and pipe-blocked thread wakeups (the pipe capacity is sized so
- * 32-byte request records need partial writes). Every core runs
- * under the lockstep oracle for the whole serve.
+ * 32-byte request records need partial writes).
  */
 RunOutput
 runServer(const FuzzCase &c, const WorkloadParams &wl,
@@ -539,7 +554,7 @@ runServer(const FuzzCase &c, const WorkloadParams &wl,
 
     // Base-workload GOT universe only: tenant modules come and go
     // with churn, so their slots are not stable event operands.
-    const auto slots = gotSlotUniverse(wb.image());
+    auto slots = gotSlotUniverse(wb.image());
 
     os::ServerParams sp;
     sp.workers = 2;
@@ -552,105 +567,17 @@ runServer(const FuzzCase &c, const WorkloadParams &wl,
     sp.seed = c.seed;
     sp.kernel.quantum = 100 + c.seed % 151;
     sp.kernel.pipeCapacity = 48 + c.seed % 64;
+    // Construction maps the worker stacks and loads the tenant and
+    // dispatch modules, before the checkers attach.
     os::Server server(wb, mp, sp);
     if (sample.enabled)
         server.setSampling(sample);
-    auto &sys = server.system();
 
-    // After construction: the server mapped the worker stacks and
-    // loaded the tenant + dispatch modules, so the checkers' forked
-    // reference memory is complete. Churn-time remaps resync them
-    // through the server's observer fast-forward.
-    std::vector<std::unique_ptr<LockstepChecker>> checkers;
-    for (std::uint32_t i = 0; i < sys.numCores(); ++i) {
-        checkers.push_back(
-            std::make_unique<LockstepChecker>(sys.core(i)));
-        sys.core(i).setRetireObserver(checkers.back().get());
-    }
-
-    const auto applyEvent = [&](const Event &e) {
-        switch (e.kind) {
-          case EvTenantChurn:
-            server.requestChurn(static_cast<std::uint32_t>(
-                e.a % sp.tenants));
-            break;
-          case EvGotRewriteSame: {
-            if (slots.empty())
-                break;
-            const auto [mid, imp] = slots[e.a % slots.size()];
-            const isa::Addr slot =
-                wb.image().moduleAt(mid).gotSlotAddrs[imp];
-            auto &as = wb.image().addressSpace();
-            as.poke64(slot, as.peek64(slot));
-            sys.broadcastGotWrite(slot);
-            break;
-          }
-          case EvRebind: {
-            if (slots.empty())
-                break;
-            const auto [mid, imp] = slots[e.a % slots.size()];
-            const auto &m = wb.image().moduleAt(mid);
-            const isa::Addr slot = m.gotSlotAddrs[imp];
-            wb.image().addressSpace().poke64(slot,
-                                             m.lazyGotValue(imp));
-            sys.broadcastGotWrite(slot);
-            if (mc.explicitInvalidation) {
-                for (std::uint32_t i = 0; i < sys.numCores();
-                     ++i) {
-                    if (auto *unit = sys.core(i).skipUnit())
-                        unit->explicitFlush();
-                }
-            }
-            break;
-          }
-          case EvNoiseStore: {
-            const auto &app = wb.image().moduleAt(0);
-            if (wl.appDataBytes < 8)
-                break;
-            const isa::Addr addr =
-                app.dataBase + (e.a % (wl.appDataBytes / 8)) * 8;
-            wb.image().addressSpace().poke64(addr, e.b);
-            sys.broadcastGotWrite(addr);
-            break;
-          }
-          case EvSpuriousFlush: {
-            const std::uint32_t i =
-                static_cast<std::uint32_t>(e.a % sys.numCores());
-            if (auto *unit = sys.core(i).skipUnit())
-                unit->explicitFlush();
-            break;
-          }
-          case EvDemandDrop:
-            wb.image().addressSpace().dropDemandTextPages();
-            break;
-          case EvStableChurn:
-            // Churn a tenant, then prove the memoized resolution
-            // map is still coherent with the live module table.
-            server.requestChurn(static_cast<std::uint32_t>(
-                e.a % sp.tenants));
-            checkStableMapCoherence(wb);
-            break;
-          default:
-            break;
-        }
-    };
-
-    // Interleave scheduler rounds with events, then drain.
-    for (const auto &e : schedule) {
-        if (!server.runRounds(1 + e.offset % 9))
-            applyEvent(e);
-    }
-    server.run();
-
-    RunOutput out;
-    for (std::uint32_t i = 0; i < sys.numCores(); ++i) {
-        accumulate(out.stats, checkers[i]->stats());
-        const std::string who = "core" + std::to_string(i);
-        checkFlushAccounting(sys.core(i), who.c_str());
-        addSkipStats(out.skip, sys.core(i));
-    }
+    EventApplier events{&wb, coresOf(server.system()),
+                        std::move(slots), wl, mc, &server};
+    RunOutput out = runOnKernel(server.kernel(), events, schedule);
+    server.run(); // Drained already; asserts every request was served.
     out.server = server.stats();
-    out.kernel = server.kernel().stats();
     return out;
 }
 
@@ -659,11 +586,11 @@ std::string
 sampledCounterDiff(const RunOutput &exact,
                    const RunOutput &sampled, bool full_kernel)
 {
-    std::ostringstream os;
-    const auto field = [&os](const char *name, std::uint64_t want,
+    std::ostringstream out;
+    const auto field = [&out](const char *name, std::uint64_t want,
                              std::uint64_t have) {
         if (want != have) {
-            os << "  " << name << ": exact " << want
+            out << "  " << name << ": exact " << want
                << " vs sampled " << have << "\n";
         }
     };
@@ -676,36 +603,11 @@ sampledCounterDiff(const RunOutput &exact,
     field("deferredChurns", exact.server.deferredChurns,
           sampled.server.deferredChurns);
     if (full_kernel) {
-        const auto &a = exact.kernel;
-        const auto &b = sampled.kernel;
-        field("rounds", a.rounds, b.rounds);
-        field("dispatches", a.dispatches, b.dispatches);
-        field("preemptions", a.preemptions, b.preemptions);
-        field("threadSwitches", a.threadSwitches,
-              b.threadSwitches);
-        field("asidSwitches", a.asidSwitches, b.asidSwitches);
-        field("idleSlices", a.idleSlices, b.idleSlices);
-        field("kernelSteps", a.kernelSteps, b.kernelSteps);
-        field("simCalls", a.simCalls, b.simCalls);
-        field("blocks", a.blocks, b.blocks);
-        field("wakeups", a.wakeups, b.wakeups);
-        field("threadsSpawned", a.threadsSpawned,
-              b.threadsSpawned);
-        field("threadsExited", a.threadsExited, b.threadsExited);
-        field("pipeBlockedReads", a.pipeBlockedReads,
-              b.pipeBlockedReads);
-        field("pipeBlockedWrites", a.pipeBlockedWrites,
-              b.pipeBlockedWrites);
-        field("pipeBytesRead", a.pipeBytesRead, b.pipeBytesRead);
-        field("pipeBytesWritten", a.pipeBytesWritten,
-              b.pipeBytesWritten);
-        field("listens", a.listens, b.listens);
-        field("connects", a.connects, b.connects);
-        field("accepts", a.accepts, b.accepts);
-        field("backlogBlocks", a.backlogBlocks, b.backlogBlocks);
-        field("connsClosed", a.connsClosed, b.connsClosed);
+        for (const auto &[name, counter] : os::KernelCounters)
+            field(name, exact.kernel.*counter,
+                  sampled.kernel.*counter);
     }
-    return os.str();
+    return out.str();
 }
 
 void
@@ -819,8 +721,8 @@ void
 addCaseFlags(stats::FlagTable &flags, FuzzCase &c)
 {
     flags.integer("seed", "case seed (default 1)", c.seed)
-        .integer("cores", "cores; >1 drives a MultiCoreSystem", c.cores,
-                 1)
+        .integer("cores", "cores; >1 runs one kernel thread per core",
+                 c.cores, 1)
         .integer("requests", "requests per case", c.requests)
         .integer("events", "FuzzEvent bitmask", c.eventsMask)
         .integer("event-count", "scheduled adversarial events",
@@ -875,7 +777,11 @@ addCaseFlags(stats::FlagTable &flags, FuzzCase &c)
         .toggle("aslr", "randomise library placement", c.aslr)
         .toggle("inject-bug-config",
                 "fault injection: suppress the section 3.2 store flush",
-                c.injectFlushSuppression);
+                c.injectFlushSuppression)
+        .require([&c] {
+            return core::geometryError(
+                workload::makeCoreParams(machineFor(c)).skip);
+        });
 }
 
 std::string

@@ -9,8 +9,8 @@
  * same-value GOT rewrites, lazy-rebind storms (GOT slots reset to
  * their lazy re-entry values mid-run), external noise stores,
  * context switches, spurious explicit flushes, snapshot
- * save/restore at random retire points, and cross-core stores via
- * sim::MultiCoreSystem.
+ * save/restore at random retire points, and cross-core stores
+ * between kernel threads on a sim::MultiCoreSystem.
  *
  * Every case runs under the LockstepChecker oracle; any divergence,
  * reference fault, snapshot-equivalence mismatch, or violation of
@@ -79,7 +79,8 @@ struct FuzzCase
 {
     std::uint64_t seed = 1;
 
-    /** 1 = single-core driver; >1 = sim::MultiCoreSystem. */
+    /** 1 = single-core driver; >1 = one os::Kernel thread per core
+     *  of a sim::MultiCoreSystem. */
     std::uint32_t cores = 1;
     std::uint32_t requests = 10;
 

@@ -271,6 +271,12 @@ void
 LockstepChecker::onExternalWrite(isa::Addr addr)
 {
     ++stats_.externalWrites;
+    // A write into a region mapped after the reference memory was
+    // forked (a dlopen placed at a fresh address) has nothing to
+    // mirror into: the remap itself ends with a resync, which forks
+    // the region in with its final contents.
+    if (ref_.memory().findRegion(addr) == nullptr)
+        return;
     // The new value is already visible in the shared/process
     // address space; mirror it into reference memory.
     ref_.memory().poke64(addr,

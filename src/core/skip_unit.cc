@@ -1,6 +1,7 @@
 #include "core/skip_unit.hh"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <vector>
 
@@ -10,6 +11,27 @@
 
 namespace dlsim::core
 {
+
+std::string
+geometryError(const SkipUnitParams &p)
+{
+    const auto n = [](std::uint32_t v) { return std::to_string(v); };
+    const std::uint32_t entries = p.abtb.entries;
+    const std::uint32_t assoc = p.abtb.assoc;
+    if (assoc == 0 || assoc > entries)
+        return "--abtb-assoc: " + n(assoc) + " ways do not fit in " +
+               n(entries) + " ABTB entries";
+    if (entries % assoc != 0 || !std::has_single_bit(entries / assoc))
+        return "--abtb-entries: " + n(entries) + " entries in " +
+               n(assoc) + "-way sets do not make a power-of-two "
+                          "set count";
+    if (p.bloomBits < 64 || !std::has_single_bit(p.bloomBits))
+        return "--bloom-bits: " + n(p.bloomBits) +
+               " is not a power of two of at least 64";
+    if (p.bloomHashes == 0)
+        return "--bloom-hashes: a bloom filter needs at least one hash";
+    return "";
+}
 
 TrampolineSkipUnit::TrampolineSkipUnit(const SkipUnitParams &params)
     : params_(params), abtb_(params.abtb),

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <unordered_set>
 
 #include "core/abtb.hh"
@@ -95,6 +96,15 @@ struct SkipUnitParams
     bool buggySuppressStoreFlush = false;
 };
 
+/**
+ * Why an Abtb and a BloomFilter cannot be built from `p` exactly as
+ * given (the invariants their constructors assert), or "" when they
+ * can. The reason leads with the flag every tool sets the field
+ * with, e.g. "--abtb-entries: ...", so a flag table can reject a
+ * bad geometry as a usage error instead of an abort.
+ */
+std::string geometryError(const SkipUnitParams &p);
+
 /** Mechanism statistics. */
 struct SkipUnitStats
 {
@@ -155,6 +165,14 @@ class TrampolineSkipUnit
 
     /** OS context switch. */
     void contextSwitch();
+
+    /**
+     * The OS switched threads without changing address space: the
+     * kernel code that ran in between ends the population pattern,
+     * so the old thread's last call cannot pair with the new
+     * thread's first indirect jump. Entries are kept.
+     */
+    void threadSwitch() { patternArmed_ = false; }
 
     /** The AbtbFlush instruction (§3.4). */
     void explicitFlush();

@@ -12,6 +12,44 @@
 namespace dlsim::os
 {
 
+void
+CallThread::step(Kernel &k)
+{
+    if (results_.size() >= calls_.size()) {
+        k.exitThread();
+        return;
+    }
+    const SimCall &c = calls_[results_.size()];
+    k.call(c.fn, c.arg0, c.arg1, c.arg2);
+}
+
+void
+CallThread::onCallDone(Kernel &k, std::uint64_t retval)
+{
+    (void)k;
+    results_.push_back(retval);
+}
+
+void
+CallThread::save(snapshot::Serializer &s) const
+{
+    s.beginStruct("call_thread");
+    s.u32(static_cast<std::uint32_t>(results_.size()));
+    for (const auto r : results_)
+        s.u64(r);
+    s.endStruct();
+}
+
+void
+CallThread::load(snapshot::Deserializer &d)
+{
+    d.enterStruct("call_thread");
+    results_.resize(d.u32());
+    for (auto &r : results_)
+        r = d.u64();
+    d.leaveStruct();
+}
+
 Kernel::Kernel(const KernelParams &params,
                sim::MultiCoreSystem &sys, linker::Image &image,
                linker::DynamicLinker &linker)
@@ -71,6 +109,8 @@ Kernel::dispatch(std::uint32_t core)
         c.observer()->onFastForward(c.state());
 
     if (lastTid_[core] != tid) {
+        if (auto *unit = c.skipUnit())
+            unit->threadSwitch();
         lastTid_[core] = tid;
         ++stats_.threadSwitches;
     }
@@ -486,20 +526,8 @@ Kernel::save(snapshot::Serializer &s) const
         s.u32(tid);
     for (const auto asid : coreAsid_)
         s.u16(asid);
-    const std::uint64_t counters[] = {
-        stats_.rounds,          stats_.dispatches,
-        stats_.preemptions,     stats_.threadSwitches,
-        stats_.asidSwitches,    stats_.idleSlices,
-        stats_.kernelSteps,     stats_.simCalls,
-        stats_.blocks,          stats_.wakeups,
-        stats_.threadsSpawned,  stats_.threadsExited,
-        stats_.pipeBlockedReads, stats_.pipeBlockedWrites,
-        stats_.pipeBytesRead,   stats_.pipeBytesWritten,
-        stats_.listens,         stats_.connects,
-        stats_.accepts,         stats_.backlogBlocks,
-        stats_.connsClosed};
-    for (const auto v : counters)
-        s.u64(v);
+    for (const auto &[name, counter] : KernelCounters)
+        s.u64(stats_.*counter);
     s.endStruct();
 
     for (const auto &t : tcbs_) {
@@ -550,20 +578,8 @@ Kernel::load(snapshot::Deserializer &d)
         tid = d.u32();
     for (auto &asid : coreAsid_)
         asid = d.u16();
-    std::uint64_t *counters[] = {
-        &stats_.rounds,          &stats_.dispatches,
-        &stats_.preemptions,     &stats_.threadSwitches,
-        &stats_.asidSwitches,    &stats_.idleSlices,
-        &stats_.kernelSteps,     &stats_.simCalls,
-        &stats_.blocks,          &stats_.wakeups,
-        &stats_.threadsSpawned,  &stats_.threadsExited,
-        &stats_.pipeBlockedReads, &stats_.pipeBlockedWrites,
-        &stats_.pipeBytesRead,   &stats_.pipeBytesWritten,
-        &stats_.listens,         &stats_.connects,
-        &stats_.accepts,         &stats_.backlogBlocks,
-        &stats_.connsClosed};
-    for (auto *v : counters)
-        *v = d.u64();
+    for (const auto &[name, counter] : KernelCounters)
+        stats_.*counter = d.u64();
     d.leaveStruct();
 
     for (auto &t : tcbs_) {
@@ -611,30 +627,8 @@ void
 Kernel::reportMetrics(stats::MetricsRegistry &reg,
                       const std::string &prefix) const
 {
-    const auto counter = [&](const char *name, std::uint64_t v) {
-        reg.counter(prefix + name, v);
-    };
-    counter(".sched.rounds", stats_.rounds);
-    counter(".sched.dispatches", stats_.dispatches);
-    counter(".sched.preemptions", stats_.preemptions);
-    counter(".sched.thread_switches", stats_.threadSwitches);
-    counter(".sched.asid_switches", stats_.asidSwitches);
-    counter(".sched.idle_slices", stats_.idleSlices);
-    counter(".sched.kernel_steps", stats_.kernelSteps);
-    counter(".sched.sim_calls", stats_.simCalls);
-    counter(".sched.blocks", stats_.blocks);
-    counter(".sched.wakeups", stats_.wakeups);
-    counter(".threads.spawned", stats_.threadsSpawned);
-    counter(".threads.exited", stats_.threadsExited);
-    counter(".pipe.blocked_reads", stats_.pipeBlockedReads);
-    counter(".pipe.blocked_writes", stats_.pipeBlockedWrites);
-    counter(".pipe.bytes_read", stats_.pipeBytesRead);
-    counter(".pipe.bytes_written", stats_.pipeBytesWritten);
-    counter(".sock.listens", stats_.listens);
-    counter(".sock.connects", stats_.connects);
-    counter(".sock.accepts", stats_.accepts);
-    counter(".sock.backlog_blocks", stats_.backlogBlocks);
-    counter(".sock.conns_closed", stats_.connsClosed);
+    for (const auto &[name, counter] : KernelCounters)
+        reg.counter(prefix + name, stats_.*counter);
     reg.gauge(prefix + ".vtime_cycles",
               static_cast<double>(now_));
 }

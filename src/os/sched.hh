@@ -39,6 +39,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cpu/core.hh"
@@ -129,6 +130,44 @@ class Thread
     virtual void load(snapshot::Deserializer &d) { (void)d; }
 };
 
+/** One simulated function call: entry address and arguments. */
+struct SimCall
+{
+    isa::Addr fn = 0;
+    std::uint64_t arg0 = 0;
+    std::uint64_t arg1 = 0;
+    std::uint64_t arg2 = 0;
+};
+
+/**
+ * The simplest thread body: make `calls` one after another, record
+ * each return value, then exit. Threads of one process that only
+ * compute (no pipes or sockets) are bodies of this kind.
+ */
+class CallThread : public Thread
+{
+  public:
+    explicit CallThread(std::vector<SimCall> calls)
+        : calls_(std::move(calls))
+    {
+    }
+
+    void step(Kernel &k) override;
+    void onCallDone(Kernel &k, std::uint64_t retval) override;
+    void save(snapshot::Serializer &s) const override;
+    void load(snapshot::Deserializer &d) override;
+
+    /** Return values of the calls finished so far, in call order. */
+    const std::vector<std::uint64_t> &results() const
+    {
+        return results_;
+    }
+
+  private:
+    std::vector<SimCall> calls_;
+    std::vector<std::uint64_t> results_;
+};
+
 /** Aggregate kernel activity counters. */
 struct KernelStats
 {
@@ -153,6 +192,33 @@ struct KernelStats
     std::uint64_t accepts = 0;
     std::uint64_t backlogBlocks = 0;
     std::uint64_t connsClosed = 0;
+};
+
+/** Every KernelStats counter with its metric name under the
+ *  kernel's prefix, in checkpoint order. */
+inline constexpr std::pair<const char *, std::uint64_t KernelStats::*>
+    KernelCounters[] = {
+        {".sched.rounds", &KernelStats::rounds},
+        {".sched.dispatches", &KernelStats::dispatches},
+        {".sched.preemptions", &KernelStats::preemptions},
+        {".sched.thread_switches", &KernelStats::threadSwitches},
+        {".sched.asid_switches", &KernelStats::asidSwitches},
+        {".sched.idle_slices", &KernelStats::idleSlices},
+        {".sched.kernel_steps", &KernelStats::kernelSteps},
+        {".sched.sim_calls", &KernelStats::simCalls},
+        {".sched.blocks", &KernelStats::blocks},
+        {".sched.wakeups", &KernelStats::wakeups},
+        {".threads.spawned", &KernelStats::threadsSpawned},
+        {".threads.exited", &KernelStats::threadsExited},
+        {".pipe.blocked_reads", &KernelStats::pipeBlockedReads},
+        {".pipe.blocked_writes", &KernelStats::pipeBlockedWrites},
+        {".pipe.bytes_read", &KernelStats::pipeBytesRead},
+        {".pipe.bytes_written", &KernelStats::pipeBytesWritten},
+        {".sock.listens", &KernelStats::listens},
+        {".sock.connects", &KernelStats::connects},
+        {".sock.accepts", &KernelStats::accepts},
+        {".sock.backlog_blocks", &KernelStats::backlogBlocks},
+        {".sock.conns_closed", &KernelStats::connsClosed},
 };
 
 /** The scheduler plus its pipe and socket tables. */

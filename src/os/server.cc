@@ -454,7 +454,6 @@ Server::snapshotFingerprint() const
                                        wb_.machine()));
     const auto &mp = sys_.params();
     fp.mix(mp.numCores);
-    fp.mix(mp.quantum);
     fp.mix(mp.stackBytes);
     fp.mix(mp.cacheCoherence);
     fp.mix(params_.workers);

@@ -16,8 +16,13 @@ MultiCoreSystem::MultiCoreSystem(const MultiCoreParams &params,
 {
     assert(params_.numCores >= 1);
 
-    // Carve one stack region per core below the main stack (with a
-    // guard page between them), like a threading runtime does.
+    // One stack region per core below the main stack (with a guard
+    // page between them), like a threading runtime carves. No thread
+    // runs on these: os::Kernel gives each thread its own stack from
+    // allocThreadStack(), carved below them. They stay because they
+    // fix where those thread stacks land: without them every thread
+    // stack moves, which shifts the simulated cycle counts behind
+    // server_traffic's sampled latency and IPC metrics.
     isa::Addr stack_top =
         main_stack_top - params_.stackBytes - mem::PageBytes;
     for (std::uint32_t i = 0; i < params_.numCores; ++i) {
@@ -28,9 +33,7 @@ MultiCoreSystem::MultiCoreSystem(const MultiCoreParams &params,
 
         auto core = std::make_unique<cpu::Core>(params_.core);
         core->attachProcess(&image_, &linker, /*asid=*/0);
-        core->initStack(stack_top);
         cores_.push_back(std::move(core));
-        coreStackTops_.push_back(stack_top);
 
         stack_top -= params_.stackBytes + mem::PageBytes;
     }
@@ -76,79 +79,6 @@ MultiCoreSystem::allocThreadStack()
     ++extraStacks_;
     nextStackTop_ = top - params_.stackBytes - mem::PageBytes;
     return top;
-}
-
-std::vector<ThreadResult>
-MultiCoreSystem::runOnAll(
-    isa::Addr fn,
-    const std::vector<std::pair<std::uint64_t, std::uint64_t>>
-        &args)
-{
-    assert(!args.empty());
-    const std::size_t threads = args.size();
-
-    // Run-to-completion queue: core i's current thread, and the
-    // next queued thread index. Each core runs one thread at a time
-    // and a finished call leaves the stack balanced, so a queued
-    // thread reuses the stack of whatever core frees up first —
-    // with M == N this degenerates to the original one-thread-per-
-    // core behaviour, byte for byte (no redundant stack resets, no
-    // extra mappings).
-    constexpr std::size_t None = SIZE_MAX;
-    struct Slot
-    {
-        std::size_t thread = None;
-        std::uint64_t insts0 = 0;
-        std::uint64_t cycles0 = 0;
-    };
-    std::vector<Slot> slot(cores_.size());
-    std::vector<ThreadResult> results(threads);
-    std::size_t next = 0;
-    std::size_t live = 0;
-
-    const auto dispatch = [&](std::size_t i) {
-        if (next >= threads)
-            return;
-        const std::size_t t = next++;
-        // Queued threads (beyond the initial N) inherit a stack a
-        // previous call may have touched; reset sp to the core's
-        // stack top so every thread starts from a clean frame.
-        if (t >= cores_.size())
-            cores_[i]->initStack(coreStackTops_[i]);
-        slot[i].thread = t;
-        slot[i].insts0 = cores_[i]->counters().instructions;
-        slot[i].cycles0 = cores_[i]->counters().cycles;
-        cores_[i]->beginCall(fn, args[t].first, args[t].second,
-                             static_cast<std::uint64_t>(t));
-        ++live;
-    };
-
-    for (std::size_t i = 0; i < cores_.size() && next < threads;
-         ++i)
-        dispatch(i);
-
-    while (live > 0) {
-        for (std::size_t i = 0; i < cores_.size(); ++i) {
-            if (slot[i].thread == None)
-                continue;
-            if (!cores_[i]->runQuantum(params_.quantum))
-                continue;
-            const std::size_t t = slot[i].thread;
-            const auto c = cores_[i]->counters();
-            results[t].instructions =
-                c.instructions - slot[i].insts0;
-            results[t].cycles = c.cycles - slot[i].cycles0;
-            results[t].returnValue =
-                cores_[i]->state().regs[isa::RegRet];
-            slot[i].thread = None;
-            --live;
-            // The freed core picks up the next queued thread; its
-            // first quantum runs in the next round, preserving the
-            // fixed round-robin interleaving.
-            dispatch(i);
-        }
-    }
-    return results;
 }
 
 void
@@ -238,8 +168,6 @@ MultiCoreSystem::reportMetrics(stats::MetricsRegistry &reg,
         }
     }
     reg.gauge(p + "cores", static_cast<double>(cores_.size()));
-    reg.gauge(p + "quantum",
-              static_cast<double>(params_.quantum));
     reg.gauge(p + "snooped_stores",
               static_cast<double>(snoopedStores_));
     reg.gauge(p + "substitutions",

@@ -13,9 +13,10 @@
  * backed by that slot must drop its ABTB — otherwise a sibling
  * thread could keep skipping into a stale target.
  *
- * Execution interleaves deterministically: cores advance round-
- * robin in fixed instruction quanta on one host thread, so runs are
- * exactly reproducible.
+ * The system only owns the machine: it schedules nothing. Threads
+ * run on it through os::Kernel, the one scheduler, whose rounds
+ * advance the cores in fixed instruction quanta on one host thread,
+ * so runs are exactly reproducible.
  */
 
 #ifndef DLSIM_SIM_MULTICORE_HH
@@ -44,22 +45,12 @@ namespace dlsim::sim
 struct MultiCoreParams
 {
     std::uint32_t numCores = 4;
-    /** Instructions per scheduling quantum. */
-    std::uint64_t quantum = 200;
     /** Per-thread stack bytes (stacks are carved below the
      *  process's main stack). */
     std::uint64_t stackBytes = 1 << 20;
     /** Forward stores to other cores' caches as invalidations. */
     bool cacheCoherence = true;
     cpu::CoreParams core;
-};
-
-/** One completed thread request. */
-struct ThreadResult
-{
-    std::uint64_t instructions = 0;
-    std::uint64_t cycles = 0;
-    std::uint64_t returnValue = 0;
 };
 
 /**
@@ -87,36 +78,12 @@ class MultiCoreSystem
         return *cores_[i];
     }
 
-    /** Top of core `i`'s built-in thread stack. */
-    isa::Addr coreStackTop(std::uint32_t i) const
-    {
-        return coreStackTops_[i];
-    }
-
     /**
      * Map one more thread stack (with a guard page) below the ones
-     * already carved and return its top. An OS-like layer running
-     * M > numCores() blocking threads calls this once per thread;
-     * runOnAll() does not need it (its threads run to completion,
-     * so a queued thread reuses the stack of the core it lands on).
+     * already carved and return its top. os::Kernel calls this once
+     * per thread.
      */
     isa::Addr allocThreadStack();
-
-    /**
-     * Run M = args.size() function-call threads over the N cores as
-     * a run-to-completion queue (deterministic round-robin
-     * interleaving) and return each thread's result in args order.
-     * Threads 0..N-1 start immediately on cores 0..N-1; each time a
-     * thread finishes, the next queued one is dispatched on the
-     * freed core. The M == N case is byte-identical to the original
-     * one-thread-per-core semantics.
-     * @param fn   Entry address, shared by all threads.
-     * @param args Per-thread (arg0, arg1) pairs; any size >= 1.
-     */
-    std::vector<ThreadResult> runOnAll(
-        isa::Addr fn,
-        const std::vector<std::pair<std::uint64_t,
-                                    std::uint64_t>> &args);
 
     /** Broadcast an external GOT write (e.g. dlclose) to every
      *  core's skip unit. */
@@ -163,7 +130,7 @@ class MultiCoreSystem
 
     /**
      * Register the system-level view under `<prefix>.multicore.*`:
-     * core count, quantum, snooped stores, and the skip-unit flush
+     * core count, snooped stores, and the skip-unit flush
      * causes summed across cores (paper §3.2/§3.3 accounting).
      * Gauges, so documents distinguish them from per-core counters.
      */
@@ -176,7 +143,6 @@ class MultiCoreSystem
     MultiCoreParams params_;
     linker::Image &image_;
     std::vector<std::unique_ptr<cpu::Core>> cores_;
-    std::vector<isa::Addr> coreStackTops_;
     /** Top of the next stack allocThreadStack() will carve. */
     isa::Addr nextStackTop_ = 0;
     std::uint32_t extraStacks_ = 0;

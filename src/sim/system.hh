@@ -21,6 +21,13 @@
  * to all processes — which is what would happen anyway, since every
  * process resolves the same symbols — while the per-process COW page
  * accounting remains exact.
+ *
+ * System is a process table, not a scheduler: it decides nothing
+ * about who runs when, its callers switch processes explicitly.
+ * Threads on several cores run on os::Kernel, the one scheduler.
+ * The kernel keeps one address space for all its threads, because
+ * no server workload needs per-thread address spaces; giving each
+ * §5.5 process its own copy-on-write space is what System is for.
  */
 
 #ifndef DLSIM_SIM_SYSTEM_HH

@@ -125,6 +125,13 @@ FlagTable::onlyWith(const bool &gate)
     return *this;
 }
 
+FlagTable &
+FlagTable::require(std::function<std::string()> check)
+{
+    checks_.push_back(std::move(check));
+    return *this;
+}
+
 std::vector<std::string>
 FlagTable::parse(int argc, const char *const *argv,
                  std::size_t maxPositional) const
@@ -167,6 +174,11 @@ FlagTable::parse(int argc, const char *const *argv,
     if (positional.size() > maxPositional)
         fail("unexpected argument '" + positional[maxPositional] +
              "'");
+    for (const auto &check : checks_) {
+        const std::string problem = check();
+        if (!problem.empty())
+            fail(problem);
+    }
     return positional;
 }
 

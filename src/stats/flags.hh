@@ -5,7 +5,8 @@
  * A binary declares each flag once — name, one-line help and a typed
  * destination — and calls parse(). The table enforces one contract
  * for every tool: an unknown flag, a repeated flag, a missing value,
- * a malformed number or a value below the flag's bound prints
+ * a malformed number, a value below the flag's bound or values that
+ * break a declared constraint between flags prints
  * `<tool>: <flag> ...` on stderr and exits 2 before any work starts;
  * `--help`/`-h` prints usage generated from the declarations and
  * exits 0. Arguments that are not flags come back as positionals.
@@ -116,6 +117,14 @@ class FlagTable
     FlagTable &onlyWith(const bool &gate);
 
     /**
+     * A constraint between flags, checked once every flag is stored:
+     * `check` returns "" when the values fit together, else a
+     * diagnostic that names the flag at fault, and parse() fails
+     * with it.
+     */
+    FlagTable &require(std::function<std::string()> check);
+
+    /**
      * Parse argv[1..argc), storing every flag's value. Exits 2 on a
      * contract violation or on more than `maxPositional` positional
      * arguments; exits 0 after printing usage for --help/-h.
@@ -146,6 +155,7 @@ class FlagTable
     std::string tool_;
     std::string synopsis_;
     std::vector<Flag> flags_;
+    std::vector<std::function<std::string()>> checks_;
 };
 
 } // namespace dlsim::stats

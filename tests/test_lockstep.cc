@@ -137,6 +137,57 @@ TEST(Lockstep, MultiCoreCleanUnderCoherence)
     EXPECT_GT(r.coherenceFlushes, 0u);
 }
 
+TEST(Lockstep, ServerChurnToFreshAddressesStaysClean)
+{
+    // Under ASLR each tenant generation is dlopen'd at a fresh
+    // address, so its GOT writes reach checkers whose reference
+    // memory has no mapping there until the churn's resync.
+    FuzzCase c;
+    c.seed = 68;
+    c.server = true;
+    c.cores = 2;
+    c.tenants = 2;
+    c.aslr = true;
+    c.eventsMask = EvTenantChurn;
+    c.eventCount = 6;
+    c.requests = 9;
+    c.stepsPerRequest = 13;
+    c.funcsPerLib = 22;
+    c.bloomBits = 64;
+    c.abtbAssoc = 1;
+    const auto r = runCase(c);
+    EXPECT_TRUE(r.passed) << r.failure << "\nreproduce: "
+                          << reproLine(r.failingCase);
+}
+
+TEST(Lockstep, KernelThreadSwitchEndsPopulationPattern)
+{
+    // A thread preempted right after its call into one trampoline,
+    // then another thread resuming at its own trampoline's jump on
+    // the same core: the pair must not populate an ABTB entry that
+    // maps the first trampoline to the second one's target. With
+    // explicit invalidation nothing else would ever flush it.
+    FuzzCase c;
+    c.seed = 44;
+    c.server = true;
+    c.tenants = 2;
+    c.explicitInvalidation = true;
+    c.bindPolicy = dlsim::linker::BindPolicy::Now;
+    c.eventsMask = EvTenantChurn | EvNoiseStore;
+    c.eventCount = 4;
+    c.requests = 4;
+    c.stepsPerRequest = 1;
+    c.abtbEntries = 8;
+    c.abtbAssoc = 1;
+    c.bloomHashes = 3;
+    c.funcsPerLib = 18;
+    c.calledImports = 22;
+    const auto r = runCase(c);
+    EXPECT_TRUE(r.passed) << r.failure << "\nreproduce: "
+                          << reproLine(r.failingCase);
+    EXPECT_GT(r.stats.verifiedSubstitutions, 0u);
+}
+
 TEST(Lockstep, ExternalRewritesStayClean)
 {
     FuzzCase c;

@@ -50,6 +50,45 @@ TEST(SkipUnit, CallThenMemIndirectJumpPopulates)
     EXPECT_EQ(unit.stats().substitutions, 1u);
 }
 
+TEST(SkipUnit, ThreadSwitchBreaksPattern)
+{
+    // One thread's call must not pair with another thread's first
+    // indirect jump: the kernel code between them ends the pattern.
+    TrampolineSkipUnit unit(smallParams());
+    unit.retireControl(Opcode::CallRel, Tramp, 0);
+    unit.threadSwitch();
+    unit.retireControl(Opcode::JmpIndMem, Func, GotSlot);
+    EXPECT_FALSE(unit.substituteTarget(Tramp).has_value());
+    EXPECT_EQ(unit.stats().populations, 0u);
+}
+
+TEST(SkipUnit, GeometryErrorNamesTheFlag)
+{
+    const auto geometry = [](std::uint32_t entries,
+                             std::uint32_t assoc, std::uint32_t bits,
+                             std::uint32_t hashes) {
+        SkipUnitParams p;
+        p.abtb.entries = entries;
+        p.abtb.assoc = assoc;
+        p.bloomBits = bits;
+        p.bloomHashes = hashes;
+        return geometryError(p);
+    };
+    EXPECT_EQ(geometry(256, 4, 1024, 4), "");
+    EXPECT_EQ(geometry(4, 4, 64, 1), "");
+    EXPECT_EQ(geometry(8, 16, 1024, 4).rfind("--abtb-assoc:", 0), 0u);
+    EXPECT_EQ(geometry(8, 0, 1024, 4).rfind("--abtb-assoc:", 0), 0u);
+    // 3 sets, and 8 entries that 3-way sets cannot hold exactly.
+    EXPECT_EQ(geometry(12, 4, 1024, 4).rfind("--abtb-entries:", 0),
+              0u);
+    EXPECT_EQ(geometry(8, 3, 1024, 4).rfind("--abtb-entries:", 0),
+              0u);
+    EXPECT_EQ(geometry(256, 4, 100, 4).rfind("--bloom-bits:", 0), 0u);
+    EXPECT_EQ(geometry(256, 4, 32, 4).rfind("--bloom-bits:", 0), 0u);
+    EXPECT_EQ(geometry(256, 4, 1024, 0).rfind("--bloom-hashes:", 0),
+              0u);
+}
+
 TEST(SkipUnit, RegisterIndirectJumpDoesNotPopulate)
 {
     // No guarded load source -> must not populate (§3.2).

@@ -1,9 +1,11 @@
 # Usage contract of every dlsim binary, enforced by the one flag
 # table (src/stats/flags.hh): a missing value, a repeated flag, a
-# malformed number, a value below the flag's bound and an unknown flag
-# each print a diagnostic naming the flag and exit 2 before any
-# simulation starts — never a silent default, a wrapped-around count
-# or an assertion. --help exits 0. Invoked by ctest as
+# malformed number, a value below the flag's bound, an unknown flag
+# and values that break a constraint between flags (skip-unit
+# geometry, an empty seed range) each print a diagnostic naming the
+# flag and exit 2 before any simulation starts — never a silent
+# default, a wrapped-around count or an assertion. --help exits 0.
+# Invoked by ctest as
 #   cmake -DDLSIM_CLI=<binary> -DDLSIM_FUZZ=<binary> ... -P <this file>
 
 # Run one command line and require exit `code` with output matching
@@ -45,6 +47,8 @@ reject(--requests "${DLSIM_CLI}" run apache --requests abc)
 reject(--requests "${DLSIM_CLI}" run apache --requests 0)
 reject(--warmup "${DLSIM_CLI}" run memcached --warmup -3)
 reject(--abtb-entries ${run} --enhanced --abtb-entries 0)
+# 12 entries in 4-way sets make 3 sets: not a power of two.
+reject(--abtb-entries ${run} --enhanced --abtb-entries 12)
 reject(--jobs "${DLSIM_CLI}" sweep trace.bin --jobs 0)
 reject(--bogus ${run} --bogus)
 reject(--eager ${run} --eager)
@@ -56,6 +60,13 @@ reject(--requests "${DLSIM_FUZZ}" --requests 2 --requests 3)
 reject(--requests "${DLSIM_FUZZ}" --requests abc)
 reject(--cores "${DLSIM_FUZZ}" --cores 0)
 reject(--seeds "${DLSIM_FUZZ}" --seeds 1:x)
+reject(--seeds "${DLSIM_FUZZ}" --seeds 5:3)
+# Skip-unit geometry the ABTB or the bloom filter cannot build,
+# including 8 entries in 3-way sets (which would silently hold 6).
+reject(--abtb-assoc "${DLSIM_FUZZ}" --abtb-entries 8 --abtb-assoc 16)
+reject(--abtb-entries "${DLSIM_FUZZ}" --abtb-entries 8 --abtb-assoc 3)
+reject(--bloom-bits "${DLSIM_FUZZ}" --bloom-bits 100)
+reject(--bloom-hashes "${DLSIM_FUZZ}" --bloom-hashes 0)
 reject(--bogus "${DLSIM_FUZZ}" --bogus)
 reject(--eager-binding "${DLSIM_FUZZ}" --eager-binding)
 expect(0 "usage: dlsim_fuzz" "${DLSIM_FUZZ}" --help)

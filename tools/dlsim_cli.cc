@@ -56,6 +56,21 @@ struct Options
     unsigned jobs = 0; // 0 = hardware concurrency
 };
 
+workload::MachineConfig
+machineFor(const Options &opt)
+{
+    workload::MachineConfig mc;
+    mc.enhanced = opt.enhanced;
+    mc.abtbEntries = opt.abtbEntries;
+    mc.abtbAssoc = std::min(opt.abtbEntries, 4u);
+    mc.explicitInvalidation = opt.explicitInval;
+    mc.bindPolicy = opt.bindPolicy;
+    mc.aslr = opt.aslr;
+    if (opt.arm)
+        mc.pltStyle = linker::PltStyle::Arm;
+    return mc;
+}
+
 /** Declare every option, parse, then dispatch the positionals. */
 bool
 parse(int argc, char **argv, Options &opt)
@@ -92,7 +107,12 @@ parse(int argc, char **argv, Options &opt)
                  opt.jobs, 1)
         .text("json-out", "FILE",
               "also write a dlsim-metrics-v1 JSON document",
-              opt.jsonOut);
+              opt.jsonOut)
+        .require([&opt] {
+            // --abtb-entries also sets the associativity.
+            return core::geometryError(
+                workload::makeCoreParams(machineFor(opt)).skip);
+        });
     const auto pos = flags.parse(argc, argv, 4);
     const auto at = [&pos](std::size_t i) {
         return i < pos.size() ? pos[i] : std::string();
@@ -134,21 +154,6 @@ writeJson(const Options &opt, const stats::MetricsDocument &doc)
     std::fprintf(stderr, "json-out: wrote %s\n",
                  opt.jsonOut.c_str());
     return true;
-}
-
-workload::MachineConfig
-machineFor(const Options &opt)
-{
-    workload::MachineConfig mc;
-    mc.enhanced = opt.enhanced;
-    mc.abtbEntries = opt.abtbEntries;
-    mc.abtbAssoc = std::min(opt.abtbEntries, 4u);
-    mc.explicitInvalidation = opt.explicitInval;
-    mc.bindPolicy = opt.bindPolicy;
-    mc.aslr = opt.aslr;
-    if (opt.arm)
-        mc.pltStyle = linker::PltStyle::Arm;
-    return mc;
 }
 
 int

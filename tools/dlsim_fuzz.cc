@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "check/fuzz.hh"
@@ -230,6 +231,9 @@ main(int argc, char **argv)
                                   : dlsim::stats::parseUnsigned(
                                         v.substr(colon + 1), 0,
                                         UINT64_MAX);
+                    if (seed_lo > seed_hi)
+                        throw std::invalid_argument(
+                            v + " is an empty range (A > B)");
                     have_seeds = true;
                 })
         .integer("shrink-budget",
