@@ -1165,6 +1165,25 @@ smokeCases()
         c.requests = 8;
         cases.push_back(c);
     }
+    {
+        FuzzCase c; // §3.4 on SMP (shrunk seed 951): a lazy
+        c.seed = 951; // resolution's AbtbFlush must reach every
+        c.server = true; // hart, or a sibling keeps a trampoline ->
+        c.cores = 3; // lazy-entry ABTB entry.
+        c.tenants = 2;
+        c.explicitInvalidation = true;
+        c.eventsMask = EvTenantChurn | EvDemandDrop | EvStableChurn;
+        c.eventCount = 4;
+        c.requests = 3;
+        c.abtbEntries = 64;
+        c.abtbAssoc = 1;
+        c.bloomBits = 128;
+        c.numLibs = 5;
+        c.funcsPerLib = 21;
+        c.calledImports = 26;
+        c.stepsPerRequest = 1;
+        cases.push_back(c);
+    }
 
     // Seeded frontier on top of the archetypes.
     for (std::uint64_t seed = 1; seed <= 8; ++seed)

@@ -122,70 +122,10 @@ RefCore::step()
 RefCore::FastRun
 RefCore::runFast(std::uint64_t max_steps, Addr stop_pc)
 {
-    return blocks_ ? runFastBlocks(max_steps, stop_pc)
-                   : runFastInstr(max_steps, stop_pc);
-}
-
-RefCore::FastRun
-RefCore::runFastInstr(std::uint64_t max_steps, Addr stop_pc)
-{
     FastRun r;
     while (r.steps < max_steps) {
         // Chain-entry checks only: the stop sentinels (magic
         // return, resolver trap) are distinguished addresses
-        // reachable solely via taken transfers, so fall-through
-        // chaining never needs these tests. state_.pc is
-        // authoritative here and re-synced at every chain end (a
-        // RefExecError thrown mid-chain therefore reports the
-        // chain-entry pc; the faulting address is exact).
-        if (state_.halted) {
-            r.stop = FastStop::Halted;
-            return r;
-        }
-        Addr pc = state_.pc;
-        if (pc == stop_pc) {
-            r.stop = FastStop::StopPc;
-            return r;
-        }
-        if (pc == linker::ResolverVa) {
-            r.stop = FastStop::Resolver;
-            return r;
-        }
-        const linker::Slot *cur = image_->decode(pc);
-        if (!cur) {
-            throw RefExecError("reference: undecodable pc " +
-                               hexAddr(pc));
-        }
-        // Chain fall-through slots with pc held in a register;
-        // transfers (and halt) break out to the entry checks.
-        do {
-            ++r.steps;
-            if (execT<false>(cur->inst, nullptr, pc))
-                break;
-            cur = image_->nextSlot(cur);
-            if (!cur) {
-                state_.pc = pc;
-                throw RefExecError(
-                    "reference: undecodable pc " + hexAddr(pc));
-            }
-        } while (r.steps < max_steps);
-        state_.pc = pc;
-    }
-    if (state_.halted)
-        r.stop = FastStop::Halted;
-    else if (state_.pc == stop_pc)
-        r.stop = FastStop::StopPc;
-    else if (state_.pc == linker::ResolverVa)
-        r.stop = FastStop::Resolver;
-    return r;
-}
-
-RefCore::FastRun
-RefCore::runFastBlocks(std::uint64_t max_steps, Addr stop_pc)
-{
-    FastRun r;
-    while (r.steps < max_steps) {
-        // Chain-entry checks, as in runFastInstr: the sentinels are
         // reachable solely via taken transfers, so block chaining
         // re-tests them only when it follows a taken edge.
         if (state_.halted) {
@@ -215,8 +155,8 @@ RefCore::runFastBlocks(std::uint64_t max_steps, Addr stop_pc)
             const std::uint64_t remaining = max_steps - r.steps;
             const std::uint32_t body = b.bodyOps;
             if (remaining < body) {
-                // Budget lapses mid-body: stop where the
-                // per-instruction loop would.
+                // Budget lapses mid-body: stop after the last op
+                // the budget covers.
                 const auto n = static_cast<std::uint32_t>(remaining);
                 for (std::uint32_t i = 0; i < n; ++i) {
                     ++r.steps;
@@ -231,8 +171,7 @@ RefCore::runFastBlocks(std::uint64_t max_steps, Addr stop_pc)
             }
             if (!b.hasTerm) {
                 // Capped block or decoded-code edge: mid-chain
-                // fall-through, no sentinel checks (runFastInstr
-                // would be mid-chain here too).
+                // fall-through, no sentinel checks.
                 state_.pc = pc;
                 if (r.steps >= max_steps)
                     break;
@@ -262,7 +201,7 @@ RefCore::runFastBlocks(std::uint64_t max_steps, Addr stop_pc)
                 break; // outer loop / tail classifies Halted
             if (term_op == isa::Opcode::CondBr && !tk) {
                 // Not-taken CondBr falls through mid-chain: budget
-                // check only, like runFastInstr's inner loop.
+                // check only.
                 if (r.steps >= max_steps)
                     break;
                 std::int32_t succ = b.succFall;

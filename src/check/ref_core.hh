@@ -119,22 +119,18 @@ class RefCore
 
     /**
      * Execute up to `max_steps` instructions functionally, as fast
-     * as the interpreter can go (slot-chained decode, no per-step
-     * event records). Stops *before* executing anything at
+     * as the interpreter can go: whole blocks from the image's
+     * block cache, chained through the static control edges (direct
+     * jumps and calls, both CondBr arms, block fall-through) via
+     * successor indices memoized on first traversal, with no
+     * per-step event records. Stops *before* executing anything at
      * `stop_pc` or the resolver trap — the caller services the trap
-     * (or ends the run) and calls again. Throws RefExecError on a
-     * memory fault or undecodable pc.
+     * (or ends the run) and calls again. Step count, stop class and
+     * final state equal a step() loop's that checks the same stops
+     * before every step (tests/test_block_dispatch.cc). Throws
+     * RefExecError on a memory fault or undecodable pc.
      */
     FastRun runFast(std::uint64_t max_steps, Addr stop_pc);
-
-    /**
-     * Select the fast-forward engine: block-chained (default) or
-     * per-instruction. The two produce identical step counts, stop
-     * classifications, and architectural state; sim::Sampled-
-     * Execution ties this to the timing core's blockDispatch so one
-     * knob flips both executors.
-     */
-    void setBlockDispatch(bool on) { blocks_ = on; }
 
   private:
     mem::AddressSpace &space() { return direct_ ? *direct_ : *mem_; }
@@ -143,27 +139,13 @@ class RefCore
     /**
      * exec() with the per-step record compiled out (Record=false)
      * and the program counter threaded through `pc` instead of
-     * state_.pc: the fast-forward loop keeps pc in a register
-     * across whole fall-through chains, so the loop-carried
-     * dependency never round-trips through memory. Callers own the
-     * state_.pc sync.
-     * @return True when slot chaining must stop — a taken transfer
-     *         or a halt.
+     * state_.pc: runFast keeps pc in a register across whole block
+     * chains, so the loop-carried dependency never round-trips
+     * through memory. Callers own the state_.pc sync.
+     * @return True for a taken transfer or a halt.
      */
     template <bool Record>
     bool execT(const isa::Instruction &inst, RefStep *st, Addr &pc);
-
-    /** runFast per-instruction engine (the original loop). */
-    FastRun runFastInstr(std::uint64_t max_steps, Addr stop_pc);
-    /**
-     * runFast block engine: dispatch whole blocks from the image's
-     * block cache and chain static control edges (direct jumps and
-     * calls, both CondBr arms, block fall-through) through
-     * successor indices memoized on first traversal. Indirect
-     * transfers return to the sentinel-checked outer loop, exactly
-     * where runFastInstr re-enters its own.
-     */
-    FastRun runFastBlocks(std::uint64_t max_steps, Addr stop_pc);
 
     std::uint64_t read64(Addr addr);
     void write64(Addr addr, std::uint64_t value);
@@ -172,7 +154,6 @@ class RefCore
     std::unique_ptr<mem::AddressSpace> mem_;
     mem::AddressSpace *direct_ = nullptr;
     cpu::MachineState state_;
-    bool blocks_ = true;
 };
 
 } // namespace dlsim::check

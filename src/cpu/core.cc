@@ -83,14 +83,16 @@ Core::initStack(Addr stack_top)
     state_.regs[isa::RegSp] = stack_top - 64;
 }
 
-// The three leaf functions of the block dispatcher's body loop are
-// called half a billion times on the fig5 grid; the call overhead
-// alone is measurable, and -O2 declines to inline them on size
-// grounds. Force the issue — they only have two call sites each.
+// The leaf functions of the block dispatcher's body loop are called
+// half a billion times on the fig5 grid; the call overhead alone is
+// measurable, and -O2 declines to inline them on size grounds.
+// Force it: they have only a handful of call sites each.
 #if defined(__GNUC__)
 #define DLSIM_HOT_INLINE __attribute__((always_inline)) inline
+#define DLSIM_NOINLINE __attribute__((noinline))
 #else
 #define DLSIM_HOT_INLINE inline
+#define DLSIM_NOINLINE
 #endif
 
 DLSIM_HOT_INLINE std::uint64_t
@@ -224,14 +226,7 @@ Core::serviceResolver()
         ev.addr = result.gotAddr;
         traceWriter_->append(ev);
     }
-    if (skipUnit_) {
-        skipUnit_->retireStore(result.gotAddr);
-        // §3.4 alternate implementation: no bloom filter, so the
-        // (modified) dynamic linker executes the architecturally
-        // visible flush after every GOT update.
-        if (params_.skip.explicitInvalidation)
-            skipUnit_->explicitFlush();
-    }
+    retireGotStore(result.gotAddr);
 
     // Synthetic cost of the symbol hash lookup in ld.so.
     cnt_.instructions += params_.resolverInsts;
@@ -255,6 +250,200 @@ Core::serviceResolver()
     }
 }
 
+void
+Core::retireGotStore(Addr got_addr)
+{
+    if (!skipUnit_)
+        return;
+    skipUnit_->retireStore(got_addr);
+    // §3.4 alternate implementation: no bloom filter, so the
+    // (modified) dynamic linker executes the architecturally
+    // visible flush after every GOT update, on every hart.
+    if (!params_.skip.explicitInvalidation)
+        return;
+    if (flushAllHook_)
+        flushAllHook_();
+    else
+        skipUnit_->explicitFlush();
+}
+
+DLSIM_HOT_INLINE void
+Core::fetchMemoized(Addr pc)
+{
+    // Exact for the same reason as readData's probe: fetchRepeatAt
+    // re-proves the hit by key compare before touching anything.
+    const Addr line = pc >> fetchLineShift_;
+    auto &memo = fetchMemo_[line & (RepeatMemoSlots - 1)];
+    if (fetchFastOk_ && memo.line == line &&
+        hierarchy_.fetchRepeatAt(memo.ref, pc, asid_))
+        return; // Verified itlb+l1i hit: no extra cycles.
+    cnt_.cycles += hierarchy_.fetch(pc, asid_).extraCycles;
+    memo = {line, hierarchy_.fetchRef()};
+}
+
+DLSIM_HOT_INLINE void
+Core::frontEnd(Addr pc, std::uint8_t flags, bool repeat_line)
+{
+    // Fetch. Base throughput is issueWidth instructions per
+    // cycle; miss penalties serialise on top. The repeat-line case
+    // is a guaranteed itlb+l1i hit (see Hierarchy::fetchRepeat),
+    // which costs zero extra cycles — the same zero a full fetch()
+    // would return for it.
+    if (repeat_line)
+        hierarchy_.fetchRepeat();
+    else
+        fetchMemoized(pc);
+    if (++cnt_.issueSlot >= params_.issueWidth) {
+        ++cnt_.cycles;
+        cnt_.issueSlot = 0;
+    }
+    ++cnt_.instructions;
+    // Body ops can carry FlagPlt (the ARM prologue ALU ops and the
+    // x86 lazy-path pushes) but never FlagPltJmp: the PLT jump is a
+    // control transfer, i.e. a block terminator.
+    if (flags & linker::FlagPlt) {
+        ++cnt_.trampolineInsts;
+        if (flags & linker::FlagPltJmp) {
+            ++cnt_.trampolineJmps;
+            if (params_.profileTrampolines)
+                ++trampolineCounts_[pc];
+        }
+    }
+}
+
+DLSIM_HOT_INLINE Core::BodyEffect
+Core::execBodyOp(const isa::Instruction &inst, Addr pc)
+{
+    // First-touch fault of demand-paged text. Pure latency, so it
+    // commutes with the caller's fetch and with the unobserved
+    // block loop's batched bookkeeping.
+    if (params_.demandPaging)
+        demandTouchFetch(pc);
+    auto &regs = state_.regs;
+    const auto effAddr = [&]() -> Addr {
+        return inst.memBase == isa::NoReg
+                   ? static_cast<Addr>(inst.imm)
+                   : regs[inst.memBase] +
+                         static_cast<Addr>(inst.imm);
+    };
+
+    BodyEffect eff;
+    // Memory ops set state_.pc first so a fault's diagnostic names
+    // the faulting op (the unobserved block loop leaves it stale).
+    switch (inst.op) {
+      case isa::Opcode::Nop:
+        break;
+      case isa::Opcode::IntAlu: {
+        const std::uint64_t b = inst.src2 == isa::NoReg
+                                    ? static_cast<std::uint64_t>(
+                                          inst.imm)
+                                    : regs[inst.src2];
+        regs[inst.dst] = aluEval(inst.alu, regs[inst.src1], b);
+        break;
+      }
+      case isa::Opcode::MovImm:
+        regs[inst.dst] = static_cast<std::uint64_t>(inst.imm);
+        break;
+      case isa::Opcode::Load:
+        state_.pc = pc;
+        regs[inst.dst] = readData(effAddr());
+        break;
+      case isa::Opcode::Store:
+        state_.pc = pc;
+        eff = {true, effAddr(), regs[inst.src1]};
+        break;
+      case isa::Opcode::Push:
+        state_.pc = pc;
+        regs[isa::RegSp] -= 8;
+        eff = {true, regs[isa::RegSp], regs[inst.src1]};
+        break;
+      case isa::Opcode::PushImm:
+        state_.pc = pc;
+        regs[isa::RegSp] -= 8;
+        eff = {true, regs[isa::RegSp],
+               static_cast<std::uint64_t>(inst.imm)};
+        break;
+      case isa::Opcode::Pop:
+        state_.pc = pc;
+        regs[inst.dst] = readData(regs[isa::RegSp]);
+        regs[isa::RegSp] += 8;
+        break;
+      case isa::Opcode::Halt:
+        state_.halted = true;
+        break;
+      case isa::Opcode::AbtbFlush:
+        if (skipUnit_)
+            skipUnit_->explicitFlush();
+        break;
+      default:
+        // Control transfers: stepT executes those itself.
+        break;
+    }
+
+    if (eff.didStore)
+        writeData(eff.storeAddr, eff.storeValue);
+
+    // Retire hook, per op: the bloom filter's store snooping is
+    // order-sensitive.
+    if (skipUnit_) {
+        if (eff.didStore)
+            skipUnit_->retireStore(eff.storeAddr);
+        else
+            skipUnit_->retireOther();
+    }
+    return eff;
+}
+
+void
+Core::traceRetire(Addr pc, const BodyEffect &eff,
+                  const trace::TraceEvent &ev)
+{
+    if (eff.didStore) {
+        trace::TraceEvent st;
+        st.kind = trace::EventKind::Store;
+        st.pc = pc;
+        st.addr = eff.storeAddr;
+        traceWriter_->append(st);
+    }
+    traceWriter_->append(ev);
+}
+
+// Out of line on purpose: stepT retires every block terminator, so
+// it is kept small; the non-control ops it hands over here are hot
+// only with block dispatch off.
+template <bool Observed>
+DLSIM_NOINLINE void
+Core::retireBodyOp(const isa::Instruction &inst, Addr pc,
+                   std::uint8_t flags, bool repeat_line)
+{
+    frontEnd(pc, flags, repeat_line);
+    const BodyEffect eff = execBodyOp(inst, pc);
+    state_.pc = pc + inst.size;
+
+    if (traceWriter_) {
+        trace::TraceEvent ev;
+        ev.kind = trace::EventKind::Other;
+        ev.op = inst.op;
+        ev.pc = pc;
+        traceRetire(pc, eff, ev);
+    }
+
+    if constexpr (Observed) {
+        RetireRecord rec;
+        rec.pc = pc;
+        rec.op = inst.op;
+        rec.nextPc = state_.pc;
+        rec.effectivePc = state_.pc;
+        rec.didStore = eff.didStore;
+        rec.storeAddr = eff.storeAddr;
+        rec.storeValue = eff.storeValue;
+        rec.cycle = cnt_.cycles;
+        rec.retireIndex = cnt_.instructions;
+        rec.state = &state_;
+        observer_->onRetire(rec);
+    }
+}
+
 template <bool Observed>
 void
 Core::stepT()
@@ -274,54 +463,25 @@ Core::stepT()
     const Addr pc = state_.pc;
     const Addr fallthrough = pc + inst.size;
 
-    // Demand-paged library text: the first fetch of a page takes a
-    // first-touch fault (charged as pure latency) before the I-side
-    // structures see the access.
+    // The block dispatcher may have proven this fetch repeats the
+    // line of the immediately preceding one (see the terminator
+    // hand-off in runBlockLoopT).
+    const bool repeat_line = fetchRepeatHint_;
+    fetchRepeatHint_ = false;
+
+    if (!isa::isControl(inst.op)) {
+        retireBodyOp<Observed>(inst, pc, slot.flags, repeat_line);
+        curSlot_ = image_->nextSlot(curSlot_);
+        return;
+    }
+
+    // A control transfer from here on. Demand-paged library text:
+    // the first fetch of a page takes a first-touch fault (charged
+    // as pure latency).
     if (params_.demandPaging)
         demandTouchFetch(pc);
-
-    // Fetch. Base throughput is issueWidth instructions per
-    // cycle; miss penalties serialise on top.
-    if (fetchRepeatHint_) {
-        // The block dispatcher proved this fetch repeats the line
-        // of the immediately preceding one (see the terminator
-        // hand-off in runBlockLoopT): guaranteed itlb+l1i hit,
-        // byte-identical counters to the full fetch() at a fraction
-        // of the cost.
-        fetchRepeatHint_ = false;
-        hierarchy_.fetchRepeat();
-    } else {
-        // Otherwise probe the I-side verified-touch memo (exact for
-        // the same reason as in readData — fetchRepeatAt re-proves
-        // the hit by key compare before touching anything).
-        const Addr fline = pc >> fetchLineShift_;
-        auto &memo = fetchMemo_[fline & (RepeatMemoSlots - 1)];
-        if (fetchFastOk_ && memo.line == fline &&
-            hierarchy_.fetchRepeatAt(memo.ref, pc, asid_)) {
-            // Verified itlb+l1i hit: no extra cycles.
-        } else {
-            cnt_.cycles += hierarchy_.fetch(pc, asid_).extraCycles;
-            memo = {fline, hierarchy_.fetchRef()};
-        }
-    }
-    if (++cnt_.issueSlot >= params_.issueWidth) {
-        ++cnt_.cycles;
-        cnt_.issueSlot = 0;
-    }
-    ++cnt_.instructions;
-    if (slot.flags & linker::FlagPlt) {
-        ++cnt_.trampolineInsts;
-        if (slot.flags & linker::FlagPltJmp) {
-            ++cnt_.trampolineJmps;
-            if (params_.profileTrampolines)
-                ++trampolineCounts_[pc];
-        }
-    }
-
-    const bool is_ctl = isa::isControl(inst.op);
-    Addr predicted = fallthrough;
-    if (is_ctl)
-        predicted = predictor_.predictNext(inst, pc);
+    frontEnd(pc, slot.flags, repeat_line);
+    const Addr predicted = predictor_.predictNext(inst, pc);
 
     auto &regs = state_.regs;
     const auto effAddr = [&]() -> Addr {
@@ -334,52 +494,9 @@ Core::stepT()
     Addr next = fallthrough;
     bool redirected = false;
     Addr load_src = 0;
-    bool did_store = false;
-    Addr store_addr = 0;
-    std::uint64_t store_value = 0;
+    BodyEffect eff;
 
     switch (inst.op) {
-      case isa::Opcode::Nop:
-        break;
-      case isa::Opcode::IntAlu: {
-        const std::uint64_t b = inst.src2 == isa::NoReg
-                                    ? static_cast<std::uint64_t>(
-                                          inst.imm)
-                                    : regs[inst.src2];
-        regs[inst.dst] = aluEval(inst.alu, regs[inst.src1], b);
-        break;
-      }
-      case isa::Opcode::MovImm:
-        regs[inst.dst] = static_cast<std::uint64_t>(inst.imm);
-        break;
-      case isa::Opcode::Load:
-        regs[inst.dst] = readData(effAddr());
-        break;
-      case isa::Opcode::Store: {
-        store_addr = effAddr();
-        store_value = regs[inst.src1];
-        writeData(store_addr, store_value);
-        did_store = true;
-        break;
-      }
-      case isa::Opcode::Push:
-        regs[isa::RegSp] -= 8;
-        store_addr = regs[isa::RegSp];
-        store_value = regs[inst.src1];
-        writeData(store_addr, store_value);
-        did_store = true;
-        break;
-      case isa::Opcode::PushImm:
-        regs[isa::RegSp] -= 8;
-        store_addr = regs[isa::RegSp];
-        store_value = static_cast<std::uint64_t>(inst.imm);
-        writeData(store_addr, store_value);
-        did_store = true;
-        break;
-      case isa::Opcode::Pop:
-        regs[inst.dst] = readData(regs[isa::RegSp]);
-        regs[isa::RegSp] += 8;
-        break;
       case isa::Opcode::CallRel:
       case isa::Opcode::CallIndReg:
       case isa::Opcode::CallIndMem: {
@@ -392,10 +509,8 @@ Core::stepT()
             next = readData(load_src);
         }
         regs[isa::RegSp] -= 8;
-        store_addr = regs[isa::RegSp];
-        store_value = fallthrough;
-        writeData(store_addr, store_value);
-        did_store = true;
+        eff = {true, regs[isa::RegSp], fallthrough};
+        writeData(eff.storeAddr, eff.storeValue);
         redirected = true;
         break;
       }
@@ -425,12 +540,8 @@ Core::stepT()
         regs[isa::RegSp] += 8;
         redirected = true;
         break;
-      case isa::Opcode::Halt:
-        state_.halted = true;
-        break;
-      case isa::Opcode::AbtbFlush:
-        if (skipUnit_)
-            skipUnit_->explicitFlush();
+      default:
+        // Non-control ops were retired by retireBodyOp above.
         break;
     }
 
@@ -439,78 +550,57 @@ Core::stepT()
     Addr effective = next;
     bool substituted = false;
     core::AbtbEntry sub_entry;
-    if (is_ctl) {
-        if (skipUnit_ && redirected) {
-            if (const auto entry =
-                    skipUnit_->substituteTarget(next)) {
-                if (params_.checkSkips) {
-                    const auto got_value =
-                        image_->addressSpace().peek64(
-                            entry->gotAddr);
-                    if (got_value != entry->function) {
-                        throw SimError(
-                            "ABTB checker: stale entry for "
-                            "trampoline " +
-                            hexAddr(entry->trampoline));
-                    }
+    if (skipUnit_ && redirected) {
+        if (const auto entry = skipUnit_->substituteTarget(next)) {
+            if (params_.checkSkips) {
+                const auto got_value =
+                    image_->addressSpace().peek64(entry->gotAddr);
+                if (got_value != entry->function) {
+                    throw SimError("ABTB checker: stale entry for "
+                                   "trampoline " +
+                                   hexAddr(entry->trampoline));
                 }
-                effective = entry->function;
-                substituted = true;
-                sub_entry = *entry;
-                ++cnt_.skippedTrampolines;
             }
+            effective = entry->function;
+            substituted = true;
+            sub_entry = *entry;
+            ++cnt_.skippedTrampolines;
         }
-        ++cnt_.branches;
-        if (predicted != effective) {
-            ++cnt_.mispredicts;
-            cnt_.cycles += params_.mispredictPenalty;
-            if (inst.op == isa::Opcode::CondBr)
-                ++cnt_.condMispredicts;
-        }
-        predictor_.resolve(inst, pc, redirected, effective);
     }
+    ++cnt_.branches;
+    if (predicted != effective) {
+        ++cnt_.mispredicts;
+        cnt_.cycles += params_.mispredictPenalty;
+        if (inst.op == isa::Opcode::CondBr)
+            ++cnt_.condMispredicts;
+    }
+    predictor_.resolve(inst, pc, redirected, effective);
 
     // Retire hooks, in program order: the store side of a call
     // retires before its control side arms the pattern detector.
     if (skipUnit_) {
-        if (did_store)
-            skipUnit_->retireStore(store_addr);
-        if (is_ctl)
-            skipUnit_->retireControl(inst.op, next, load_src);
-        else if (!did_store)
-            skipUnit_->retireOther();
+        if (eff.didStore)
+            skipUnit_->retireStore(eff.storeAddr);
+        skipUnit_->retireControl(inst.op, next, load_src);
     }
 
     // Retire-stream tracing (the Pin-collection analogue); same
     // store-before-control ordering as the live hooks.
     if (traceWriter_) {
-        if (did_store) {
-            trace::TraceEvent ev;
-            ev.kind = trace::EventKind::Store;
-            ev.pc = pc;
-            ev.addr = store_addr;
-            traceWriter_->append(ev);
-        }
         trace::TraceEvent ev;
-        if (is_ctl) {
-            ev.kind = trace::EventKind::Control;
-            ev.op = inst.op;
-            ev.flags = slot.flags;
-            ev.taken = redirected ? 1 : 0;
-            ev.pc = pc;
-            ev.addr = next;
-            ev.loadSrc = load_src;
-        } else {
-            ev.kind = trace::EventKind::Other;
-            ev.op = inst.op;
-            ev.pc = pc;
-        }
-        traceWriter_->append(ev);
+        ev.kind = trace::EventKind::Control;
+        ev.op = inst.op;
+        ev.flags = slot.flags;
+        ev.taken = redirected ? 1 : 0;
+        ev.pc = pc;
+        ev.addr = next;
+        ev.loadSrc = load_src;
+        traceRetire(pc, eff, ev);
     }
 
     // Call-site profiler (Pin-tool stand-in): record each PLT
     // trampoline's entering instruction and resolved target.
-    if (params_.collectCallSiteTrace && is_ctl) {
+    if (params_.collectCallSiteTrace) {
         if ((slot.flags & linker::FlagPltJmp) && hasLastCtl_) {
             const linker::Slot *target_slot = image_->decode(next);
             const bool still_lazy =
@@ -529,7 +619,7 @@ Core::stepT()
     }
 
     // Advance.
-    if (is_ctl && (redirected || effective != fallthrough)) {
+    if (redirected || effective != fallthrough) {
         // Taken transfer: the fetch group ends here.
         if (cnt_.issueSlot != 0) {
             ++cnt_.cycles;
@@ -546,233 +636,24 @@ Core::stepT()
         RetireRecord rec;
         rec.pc = pc;
         rec.op = inst.op;
-        rec.isControl = is_ctl;
+        rec.isControl = true;
         rec.taken = redirected;
-        rec.nextPc = is_ctl ? next : fallthrough;
-        rec.effectivePc = is_ctl ? effective : fallthrough;
+        rec.nextPc = next;
+        rec.effectivePc = effective;
         rec.substituted = substituted;
         if (substituted) {
             rec.subTrampoline = sub_entry.trampoline;
             rec.subFunction = sub_entry.function;
             rec.subGotAddr = sub_entry.gotAddr;
         }
-        rec.didStore = did_store;
-        rec.storeAddr = store_addr;
-        rec.storeValue = store_value;
+        rec.didStore = eff.didStore;
+        rec.storeAddr = eff.storeAddr;
+        rec.storeValue = eff.storeValue;
         rec.loadSrc = load_src;
         rec.cycle = cnt_.cycles;
         rec.retireIndex = cnt_.instructions;
         rec.state = &state_;
         observer_->onRetire(rec);
-    }
-}
-
-template <bool Observed>
-void
-Core::execBodyOpT(const linker::Image::BlockOp &op, bool repeat_line)
-{
-    const isa::Instruction &inst = op.inst;
-    const Addr pc = op.va;
-    state_.pc = pc; // faults and observers see the op's pc
-    const Addr fallthrough = pc + inst.size;
-
-    // First-touch fault of demand-paged text, as in stepT.
-    if (params_.demandPaging)
-        demandTouchFetch(pc);
-
-    // Fetch: the repeat-line case is a guaranteed itlb+l1i hit (see
-    // Hierarchy::fetchRepeat), which costs zero extra cycles — the
-    // same zero a full fetch() would return for it.
-    if (repeat_line)
-        hierarchy_.fetchRepeat();
-    else
-        cnt_.cycles += hierarchy_.fetch(pc, asid_).extraCycles;
-    if (++cnt_.issueSlot >= params_.issueWidth) {
-        ++cnt_.cycles;
-        cnt_.issueSlot = 0;
-    }
-    ++cnt_.instructions;
-    // Body ops can carry FlagPlt (the ARM prologue ALU ops and the
-    // x86 lazy-path pushes) but never FlagPltJmp: the PLT jump is a
-    // control transfer, i.e. a block terminator.
-    if (op.flags & linker::FlagPlt)
-        ++cnt_.trampolineInsts;
-
-    auto &regs = state_.regs;
-    const auto effAddr = [&]() -> Addr {
-        return inst.memBase == isa::NoReg
-                   ? static_cast<Addr>(inst.imm)
-                   : regs[inst.memBase] +
-                         static_cast<Addr>(inst.imm);
-    };
-
-    bool did_store = false;
-    Addr store_addr = 0;
-    std::uint64_t store_value = 0;
-
-    switch (inst.op) {
-      case isa::Opcode::Nop:
-        break;
-      case isa::Opcode::IntAlu: {
-        const std::uint64_t b = inst.src2 == isa::NoReg
-                                    ? static_cast<std::uint64_t>(
-                                          inst.imm)
-                                    : regs[inst.src2];
-        regs[inst.dst] = aluEval(inst.alu, regs[inst.src1], b);
-        break;
-      }
-      case isa::Opcode::MovImm:
-        regs[inst.dst] = static_cast<std::uint64_t>(inst.imm);
-        break;
-      case isa::Opcode::Load:
-        regs[inst.dst] = readData(effAddr());
-        break;
-      case isa::Opcode::Store: {
-        store_addr = effAddr();
-        store_value = regs[inst.src1];
-        writeData(store_addr, store_value);
-        did_store = true;
-        break;
-      }
-      case isa::Opcode::Push:
-        regs[isa::RegSp] -= 8;
-        store_addr = regs[isa::RegSp];
-        store_value = regs[inst.src1];
-        writeData(store_addr, store_value);
-        did_store = true;
-        break;
-      case isa::Opcode::PushImm:
-        regs[isa::RegSp] -= 8;
-        store_addr = regs[isa::RegSp];
-        store_value = static_cast<std::uint64_t>(inst.imm);
-        writeData(store_addr, store_value);
-        did_store = true;
-        break;
-      case isa::Opcode::Pop:
-        regs[inst.dst] = readData(regs[isa::RegSp]);
-        regs[isa::RegSp] += 8;
-        break;
-      case isa::Opcode::AbtbFlush:
-        if (skipUnit_)
-            skipUnit_->explicitFlush();
-        break;
-      default:
-        // Control transfers and Halt end blocks; the builder never
-        // places them in a body.
-        break;
-    }
-
-    // Retire hooks — the non-control subset of stepT's ordering.
-    if (skipUnit_) {
-        if (did_store)
-            skipUnit_->retireStore(store_addr);
-        else
-            skipUnit_->retireOther();
-    }
-
-    state_.pc = fallthrough;
-
-    if constexpr (Observed) {
-        RetireRecord rec;
-        rec.pc = pc;
-        rec.op = inst.op;
-        rec.isControl = false;
-        rec.taken = false;
-        rec.nextPc = fallthrough;
-        rec.effectivePc = fallthrough;
-        rec.substituted = false;
-        rec.didStore = did_store;
-        rec.storeAddr = store_addr;
-        rec.storeValue = store_value;
-        rec.loadSrc = 0;
-        rec.cycle = cnt_.cycles;
-        rec.retireIndex = cnt_.instructions;
-        rec.state = &state_;
-        observer_->onRetire(rec);
-    }
-}
-
-DLSIM_HOT_INLINE void
-Core::execBodyOpFast(const linker::Image::BlockOp &op)
-{
-    const isa::Instruction &inst = op.inst;
-    // First-touch fault of demand-paged text, as in stepT. Cycle
-    // additions commute with the block loop's batched bookkeeping,
-    // so block-end counters stay byte-identical to the per-op path.
-    if (params_.demandPaging)
-        demandTouchFetch(op.va);
-    auto &regs = state_.regs;
-    const auto effAddr = [&]() -> Addr {
-        return inst.memBase == isa::NoReg
-                   ? static_cast<Addr>(inst.imm)
-                   : regs[inst.memBase] +
-                         static_cast<Addr>(inst.imm);
-    };
-
-    bool did_store = false;
-    Addr store_addr = 0;
-
-    // Memory ops set state_.pc first so a fault's diagnostic names
-    // the faulting op, exactly as the per-op path would.
-    switch (inst.op) {
-      case isa::Opcode::Nop:
-        break;
-      case isa::Opcode::IntAlu: {
-        const std::uint64_t b = inst.src2 == isa::NoReg
-                                    ? static_cast<std::uint64_t>(
-                                          inst.imm)
-                                    : regs[inst.src2];
-        regs[inst.dst] = aluEval(inst.alu, regs[inst.src1], b);
-        break;
-      }
-      case isa::Opcode::MovImm:
-        regs[inst.dst] = static_cast<std::uint64_t>(inst.imm);
-        break;
-      case isa::Opcode::Load:
-        state_.pc = op.va;
-        regs[inst.dst] = readData(effAddr());
-        break;
-      case isa::Opcode::Store:
-        state_.pc = op.va;
-        store_addr = effAddr();
-        writeData(store_addr, regs[inst.src1]);
-        did_store = true;
-        break;
-      case isa::Opcode::Push:
-        state_.pc = op.va;
-        regs[isa::RegSp] -= 8;
-        store_addr = regs[isa::RegSp];
-        writeData(store_addr, regs[inst.src1]);
-        did_store = true;
-        break;
-      case isa::Opcode::PushImm:
-        state_.pc = op.va;
-        regs[isa::RegSp] -= 8;
-        store_addr = regs[isa::RegSp];
-        writeData(store_addr,
-                  static_cast<std::uint64_t>(inst.imm));
-        did_store = true;
-        break;
-      case isa::Opcode::Pop:
-        state_.pc = op.va;
-        regs[inst.dst] = readData(regs[isa::RegSp]);
-        regs[isa::RegSp] += 8;
-        break;
-      case isa::Opcode::AbtbFlush:
-        if (skipUnit_)
-            skipUnit_->explicitFlush();
-        break;
-      default:
-        break;
-    }
-
-    // Retire hooks stay per-op: the bloom filter and the ABTB's
-    // store snooping are order-sensitive.
-    if (skipUnit_) {
-        if (did_store)
-            skipUnit_->retireStore(store_addr);
-        else
-            skipUnit_->retireOther();
     }
 }
 
@@ -800,12 +681,9 @@ Core::runBlockLoopT(std::uint64_t max_insts)
     // between two body-op fetches touches the I-side structures —
     // body ops access only the D side. The next-line prefetcher
     // would break that guarantee (it fills L1I between fetches), so
-    // it disables the fast path.
-    const mem::HierarchyParams &mp = hierarchy_.params();
-    const bool fast_fetch =
-        !mp.iPrefetchNextLine && mp.l1i.lineBytes <= mem::PageBytes;
-    const std::uint32_t line_shift = static_cast<std::uint32_t>(
-        std::countr_zero(mp.l1i.lineBytes));
+    // it disables the fast path (fetchFastOk_).
+    const bool fast_fetch = fetchFastOk_;
+    const std::uint32_t line_shift = fetchLineShift_;
 
     // L1I line of the most recent instruction fetch, carried across
     // block boundaries by the unobserved fast path: a body op on the
@@ -852,11 +730,14 @@ Core::runBlockLoopT(std::uint64_t max_insts)
             remaining < body ? static_cast<std::uint32_t>(remaining)
                              : body;
         if constexpr (Observed) {
+            // Per-op bookkeeping, exactly as stepT retires a body op,
+            // so the observer sees every retire's cycle and index.
             for (std::uint32_t i = 0; i < n; ++i) {
                 const bool repeat =
                     fast_fetch && i != 0 &&
                     ((ops[i].va ^ ops[i - 1].va) >> line_shift) == 0;
-                execBodyOpT<Observed>(ops[i], repeat);
+                retireBodyOp<true>(ops[i].inst, ops[i].va,
+                                   ops[i].flags, repeat);
             }
         } else {
             // Bulk bookkeeping for the whole straight-line run. Each
@@ -880,38 +761,22 @@ Core::runBlockLoopT(std::uint64_t max_insts)
             }
             if (!fast_fetch) {
                 for (std::uint32_t i = 0; i < n; ++i) {
-                    cnt_.cycles +=
-                        hierarchy_.fetch(ops[i].va, asid_)
-                            .extraCycles;
-                    execBodyOpFast(ops[i]);
+                    fetchMemoized(ops[i].va);
+                    execBodyOp(ops[i].inst, ops[i].va);
                 }
             } else {
                 // Body VAs are sequential, so same-line ops form
-                // runs: one full fetch per new line, then a single
-                // batched repeat for the rest of the run.
+                // runs: one memoized fetch per new line (loop bodies
+                // re-walk the same short cycle of lines, so it is
+                // usually a proven hit), then a single batched
+                // repeat for the rest of the run.
                 std::uint32_t i = 0;
                 while (i < n) {
                     const Addr line = ops[i].va >> line_shift;
                     if (line != last_line) {
-                        // Line transition: probe the I-side
-                        // verified-touch memo first — loop bodies
-                        // re-walk the same short cycle of lines, so
-                        // the full walk is usually provably a hit.
-                        auto &memo =
-                            fetchMemo_[line &
-                                       (RepeatMemoSlots - 1)];
-                        if (memo.line == line &&
-                            hierarchy_.fetchRepeatAt(
-                                memo.ref, ops[i].va, asid_)) {
-                            // Verified itlb+l1i hit: no cycles.
-                        } else {
-                            cnt_.cycles +=
-                                hierarchy_.fetch(ops[i].va, asid_)
-                                    .extraCycles;
-                            memo = {line, hierarchy_.fetchRef()};
-                        }
+                        fetchMemoized(ops[i].va);
                         last_line = line;
-                        execBodyOpFast(ops[i]);
+                        execBodyOp(ops[i].inst, ops[i].va);
                         ++i;
                     } else {
                         std::uint32_t j = i + 1;
@@ -920,7 +785,7 @@ Core::runBlockLoopT(std::uint64_t max_insts)
                             ++j;
                         hierarchy_.fetchRepeatN(j - i);
                         for (; i < j; ++i)
-                            execBodyOpFast(ops[i]);
+                            execBodyOp(ops[i].inst, ops[i].va);
                     }
                 }
             }

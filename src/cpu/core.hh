@@ -175,11 +175,15 @@ struct CoreParams
     /**
      * Dispatch whole basic blocks per run-loop iteration from the
      * image's block translation cache instead of one instruction at
-     * a time. Purely a simulator-speed knob: counters, timing, and
-     * every architectural observable are byte-identical either way
-     * (tests/test_block_dispatch.cc), so it is excluded from the
-     * snapshot configuration fingerprints. Trace recording
-     * (tracePath) forces the per-instruction loop regardless.
+     * a time. Counters, timing and every architectural observable
+     * are byte-identical either way (tests/test_block_dispatch.cc),
+     * so it is excluded from the snapshot configuration
+     * fingerprints. Off (`--blocks 0`) selects the per-instruction
+     * loop, which stays as the timing reference: the block-dispatch
+     * differential tests, server_traffic's identity check and the
+     * guarded block-speedup gauge compare against it, and trace
+     * recording (tracePath) uses it regardless. It does not affect
+     * the functional fast-forward engine.
      */
     bool blockDispatch = true;
 };
@@ -256,6 +260,23 @@ class Core
     void setStoreSnoopHook(std::function<void(Addr)> hook)
     {
         storeSnoopHook_ = std::move(hook);
+    }
+
+    /**
+     * Retire a lazy resolver's GOT store on the skip unit: the
+     * bloom filter snoops it (§3.2), and on the explicit-
+     * invalidation machine (§3.4) ld.so follows the update with an
+     * AbtbFlush on every hart of the address space — through the
+     * flush-all hook when a multicore system installed one, else
+     * on this core alone. Both lazy resolvers call this: the
+     * detailed trap and sim::Sampler's functional one.
+     */
+    void retireGotStore(Addr got_addr);
+
+    /** Flush-all hook for retireGotStore (MultiCoreSystem). */
+    void setFlushAllHook(std::function<void()> hook)
+    {
+        flushAllHook_ = std::move(hook);
     }
 
     /**
@@ -384,7 +405,10 @@ class Core
      * observer is attached. The overwhelmingly common case — no
      * observer — compiles to a loop with no null-check and no
      * RetireRecord assembly at all; the run entry points dispatch
-     * once per quantum instead of once per instruction.
+     * once per quantum instead of once per instruction. runLoopT
+     * is the timing reference block dispatch is checked against
+     * (CoreParams::blockDispatch) and the trace recorder's loop;
+     * stepT also retires every block terminator.
      */
     template <bool Observed> void stepT();
     template <bool Observed>
@@ -392,41 +416,73 @@ class Core
 
     /**
      * Block dispatcher: one block-cache lookup per straight-line
-     * run, body ops executed by the lean execBodyOpT, the
-     * terminator delegated to stepT (which keeps prediction, ABTB
+     * run, body ops executed by execBodyOp, the terminator
+     * delegated to stepT (which keeps prediction, ABTB
      * substitution, and mispredict accounting in one place).
-     * Byte-identical observables to runLoopT.
+     * The observed loop retires body ops through retireBodyOp like
+     * stepT; the unobserved one batches the bookkeeping per
+     * straight-line run. Byte-identical observables to runLoopT.
      */
     template <bool Observed>
     std::uint64_t runBlockLoopT(std::uint64_t max_insts);
 
-    /** Execute one non-control block-body op; exact replica of the
-     *  stepT path for the non-control opcode subset. `repeat_line`
-     *  selects the hierarchy's repeat-fetch fast path. */
-    template <bool Observed>
-    void execBodyOpT(const linker::Image::BlockOp &op,
-                     bool repeat_line);
+    /** What a non-control op stored, for retire records and the
+     *  trace. */
+    struct BodyEffect
+    {
+        bool didStore = false;
+        Addr storeAddr = 0;
+        std::uint64_t storeValue = 0;
+    };
 
     /**
-     * Leaner still: the unobserved block loop hoists the fetch,
-     * issue-slot, instruction-count, and pc bookkeeping out of the
-     * per-op body (batched per straight-line run), leaving only the
-     * architectural side effects. Counters and state after a block
-     * are byte-identical to the execBodyOpT sequence.
+     * The one executor of the non-control opcodes (everything a
+     * block body holds, plus Halt), shared by the per-instruction
+     * loop and both block loops: demand-paged text touch, the
+     * architectural effect, and the skip unit's store-snoop/retire
+     * hook. Fetch, issue and retire counting stay with the caller:
+     * per op in retireBodyOp, batched in the unobserved block loop.
      */
-    void execBodyOpFast(const linker::Image::BlockOp &op);
+    BodyEffect execBodyOp(const isa::Instruction &inst, Addr pc);
+
+    /**
+     * Retire one non-control op with per-op bookkeeping: front end,
+     * execBodyOp, pc advance, trace and observer record. stepT uses
+     * it for every non-control op, the observed block loop for
+     * every body op.
+     */
+    template <bool Observed>
+    void retireBodyOp(const isa::Instruction &inst, Addr pc,
+                      std::uint8_t flags, bool repeat_line);
+
+    /** Append one retire to the trace: its store (if any), then
+     *  `ev`, the op's own event. */
+    void traceRetire(Addr pc, const BodyEffect &eff,
+                     const trace::TraceEvent &ev);
+
+    /** Per-op front end of stepT and retireBodyOp: the I-side
+     *  access (`repeat_line`: a proven same-line repeat), the issue
+     *  slot, the retire count and the trampoline census. */
+    void frontEnd(Addr pc, std::uint8_t flags, bool repeat_line);
+
+    /** I-side access through the verified-touch memo: a proven
+     *  itlb+l1i hit costs nothing, anything else takes the full
+     *  walk and refills the memo slot. */
+    void fetchMemoized(Addr pc);
+
     void serviceResolver();
 
     std::uint64_t readData(Addr addr);
     void writeData(Addr addr, std::uint64_t value);
 
     /**
-     * Demand-paging fetch touch: fault in the page backing `va`
-     * before it is fetched, charging the fault latency. Called only
-     * when params_.demandPaging (gated at the call sites so the
+     * Demand-paging fetch touch: fault in the page backing `va`,
+     * charging the fault latency. Called only when
+     * params_.demandPaging (gated at the call sites so the
      * overwhelmingly common non-demand arms pay one predictable
-     * branch). Identical placement in the per-instruction and block
-     * loops keeps the two observably byte-identical.
+     * branch): by execBodyOp for the non-control ops and by stepT
+     * for control transfers. Pure latency, so its order against the
+     * op's I-side access is immaterial.
      */
     void
     demandTouchFetch(Addr va)
@@ -510,11 +566,13 @@ class Core
      * Set by the block dispatcher immediately before a terminator
      * stepT() it has proven to be a same-L1I-line repeat fetch;
      * consumed (and cleared) by stepT's fetch stage, which then
-     * takes the fetchRepeat() fast path instead of the full walk.
+     * takes the fetchRepeat() fast path instead of the full walk
+     * (byte-identical counters at a fraction of the cost).
      */
     bool fetchRepeatHint_ = false;
     /** @} */
     std::function<void(Addr)> storeSnoopHook_;
+    std::function<void()> flushAllHook_;
     RetireObserver *observer_ = nullptr;
     std::unique_ptr<trace::TraceWriter> traceWriter_;
 

@@ -650,12 +650,7 @@ Server::churnTenant(std::uint32_t t)
     // ends any dl operation that rewrote GOT entries (dlclose slot
     // resets, dlopen-time binding, the stable-policy rebind sweep)
     // with an AbtbFlush on every hart.
-    for (std::uint32_t i = 0; i < sys_.numCores(); ++i) {
-        if (auto *unit = sys_.core(i).skipUnit()) {
-            if (unit->params().explicitInvalidation)
-                unit->explicitFlush();
-        }
-    }
+    sys_.explicitFlushAll();
     ++stats_.tenantChurns;
     churnHistory_.push_back(t);
     resyncObservers();

@@ -48,6 +48,17 @@ MultiCoreSystem::MultiCoreSystem(const MultiCoreParams &params,
         cores_[i]->setStoreSnoopHook([this, i](isa::Addr addr) {
             snoopStore(i, addr);
         });
+        cores_[i]->setFlushAllHook([this] { explicitFlushAll(); });
+    }
+}
+
+void
+MultiCoreSystem::explicitFlushAll()
+{
+    for (auto &core : cores_) {
+        auto *unit = core->skipUnit();
+        if (unit && unit->params().explicitInvalidation)
+            unit->explicitFlush();
     }
 }
 

@@ -100,6 +100,15 @@ class MultiCoreSystem
      */
     void snoopStore(std::uint32_t from, isa::Addr addr);
 
+    /**
+     * §3.4 software contract on the explicit-invalidation machine:
+     * ld.so ends a GOT rewrite with an AbtbFlush on every core.
+     * Installed as each core's flush-all hook (so both lazy
+     * resolvers reach every hart); dl operations call it directly.
+     * No-op on the bloom-filter machine.
+     */
+    void explicitFlushAll();
+
     /** Total coherence flushes across all cores' skip units. */
     std::uint64_t totalCoherenceFlushes() const;
 

@@ -103,12 +103,9 @@ Sampler::Sampler(std::vector<cpu::Core *> cores, MultiCoreSystem *sys,
     : cores_(std::move(cores)), sys_(sys), linker_(linker),
       params_(params)
 {
-    // One knob drives both executors per core: a --blocks 0 run
-    // must be block-free in the fast-forward phases too.
-    for (cpu::Core *c : cores_) {
+    for (std::size_t i = 0; i < cores_.size(); ++i) {
         refs_.push_back(std::make_unique<check::RefCore>(
             &image, &image.addressSpace()));
-        refs_.back()->setBlockDispatch(c->params().blockDispatch);
     }
     enterDetailedPhase();
 }
@@ -204,12 +201,14 @@ Sampler::serviceResolverFunctional(std::uint32_t core)
 {
     // The functional mirror of Core::serviceResolver, minus all
     // timing: pop the PLT0 operands, run the linker, store the GOT
-    // entry architecturally. The executing core's skip unit retires
-    // the store (and performs the explicit-invalidation flush when
-    // that variant is configured) so no ABTB entry can go stale
-    // across a fast-forward phase — the checkSkips invariant holds
-    // in sampled runs too. Exact mode snoops the store onto sibling
-    // cores through the data path's hook; here that is explicit.
+    // entry architecturally. The executing core retires the store
+    // through the same Core::retireGotStore as the detailed trap
+    // (bloom snoop, and the explicit-invalidation flush on every
+    // hart when that variant is configured) so no ABTB entry can go
+    // stale across a fast-forward phase — the checkSkips invariant
+    // holds in sampled runs too. Exact mode snoops the store onto
+    // sibling cores through the data path's hook; here that is
+    // explicit.
     cpu::Core &c = *cores_[core];
     check::RefCore &ref = *refs_[core];
     auto &st = ref.state();
@@ -237,11 +236,7 @@ Sampler::serviceResolverFunctional(std::uint32_t core)
         throw cpu::SimError("sampled resolver: GOT store fault at " +
                             hexAddr(result.gotAddr));
     }
-    if (auto *su = c.skipUnit()) {
-        su->retireStore(result.gotAddr);
-        if (c.params().skip.explicitInvalidation)
-            su->explicitFlush();
-    }
+    c.retireGotStore(result.gotAddr);
     if (sys_ != nullptr)
         sys_->snoopStore(core, result.gotAddr);
 
