@@ -1184,6 +1184,21 @@ smokeCases()
         c.stepsPerRequest = 1;
         cases.push_back(c);
     }
+    {
+        FuzzCase c; // Sampled server twin (shrunk seed 405): a
+        c.seed = 405; // quantum that lapses on the jump into the
+        c.server = true; // resolver must leave the trap to the next
+        c.baseMachine = true; // slice in fast-forward too, or every
+        c.tenants = 3; // later scheduling round shifts.
+        c.sample = "200:800:2500";
+        c.eventsMask = EvTenantChurn;
+        c.eventCount = 2;
+        c.requests = 3;
+        c.funcsPerLib = 22;
+        c.calledImports = 34;
+        c.stepsPerRequest = 1;
+        cases.push_back(c);
+    }
 
     // Seeded frontier on top of the archetypes.
     for (std::uint64_t seed = 1; seed <= 8; ++seed)

@@ -41,6 +41,7 @@ enum class Opcode : std::uint8_t
     Halt,       ///< Stop the hart (end of top-level program).
     AbtbFlush,  ///< Architecturally flush the ABTB (paper §3.4).
 };
+constexpr Opcode LastOpcode = Opcode::AbtbFlush; ///< Range checks.
 
 /** ALU operation selector for Opcode::IntAlu. */
 enum class AluKind : std::uint8_t
@@ -53,6 +54,7 @@ enum class AluKind : std::uint8_t
     Mul,
     Shr,
 };
+constexpr AluKind LastAluKind = AluKind::Shr;
 
 /** Condition selector for Opcode::CondBr, evaluated on src1. */
 enum class CondKind : std::uint8_t
@@ -62,6 +64,7 @@ enum class CondKind : std::uint8_t
     Lt0, ///< Taken iff (signed) src1 < 0.
     Ge0, ///< Taken iff (signed) src1 >= 0.
 };
+constexpr CondKind LastCondKind = CondKind::Ge0;
 
 /** Human-readable mnemonic. */
 std::string_view opcodeName(Opcode op);

@@ -13,10 +13,6 @@ namespace dlsim::linker
 namespace
 {
 
-/** Empty/tombstone sentinels for the decode cache's value array. */
-constexpr std::uint32_t FastEmpty = 0xffffffffu;
-constexpr std::uint32_t FastTombstone = 0xfffffffeu;
-
 /** Empty sentinel for the block table's value array (no tombstones:
  *  the block cache is only ever flushed wholesale). */
 constexpr std::int32_t BlockEmpty = -1;
@@ -32,7 +28,7 @@ endsBlock(isa::Opcode op)
 
 /** Mix a va into a well-distributed hash (vas are structured). */
 inline std::uint64_t
-fastHash(Addr va)
+vaHash(Addr va)
 {
     std::uint64_t h = va * 0x9e3779b97f4a7c15ull;
     return h ^ (h >> 29);
@@ -42,94 +38,49 @@ fastHash(Addr va)
 
 Image::Image() : as_(std::make_unique<mem::AddressSpace>()) {}
 
+std::uint32_t
+Image::findSlot(Addr va) const
+{
+    std::uint64_t i = vaHash(va) & indexMask_;
+    while (true) {
+        const std::uint32_t v = indexVals_[i];
+        if (v == NoSlot || indexKeys_[i] == va)
+            return v;
+        i = (i + 1) & indexMask_;
+    }
+}
+
 const Slot *
 Image::decode(Addr va) const
 {
-    if (fastMask_ != 0) {
-        std::uint64_t i = fastHash(va) & fastMask_;
-        while (true) {
-            const std::uint32_t v = fastVals_[i];
-            if (v == FastEmpty)
-                break;
-            if (v != FastTombstone && fastKeys_[i] == va) {
-                ++decodeHits_;
-                return &slots_[v];
-            }
-            i = (i + 1) & fastMask_;
-        }
-    }
-    ++decodeMisses_;
-    const auto it = slotIndex_.find(va);
-    if (it == slotIndex_.end())
+    const std::uint32_t index = findSlot(va);
+    if (index == NoSlot) {
+        ++decodeMisses_;
         return nullptr;
-    fastInsert(va, it->second);
-    return &slots_[it->second];
-}
-
-void
-Image::fastInsert(Addr va, std::uint32_t index) const
-{
-    if (fastMask_ == 0)
-        return;
-    std::uint64_t i = fastHash(va) & fastMask_;
-    while (fastVals_[i] != FastEmpty &&
-           fastVals_[i] != FastTombstone) {
-        i = (i + 1) & fastMask_;
     }
-    fastKeys_[i] = va;
-    fastVals_[i] = index;
-}
-
-void
-Image::fastErase(Addr va)
-{
-    if (fastMask_ == 0)
-        return;
-    std::uint64_t i = fastHash(va) & fastMask_;
-    while (fastVals_[i] != FastEmpty) {
-        if (fastVals_[i] != FastTombstone && fastKeys_[i] == va) {
-            // A tombstone, not FastEmpty: later entries may have
-            // probed past this slot.
-            fastVals_[i] = FastTombstone;
-            return;
-        }
-        i = (i + 1) & fastMask_;
-    }
-}
-
-void
-Image::fastReset()
-{
-    // Capacity 2x the live key count keeps the load factor <= 0.5
-    // (a re-inserted key reuses its own tombstone, so patch
-    // invalidation cannot grow the occupancy).
-    const std::uint64_t capacity = std::bit_ceil(
-        std::max<std::uint64_t>(16, 2 * slots_.size()));
-    fastMask_ = capacity - 1;
-    fastKeys_.assign(capacity, 0);
-    fastVals_.assign(capacity, FastEmpty);
+    ++decodeHits_;
+    return &slots_[index];
 }
 
 Slot *
 Image::decodeMutable(Addr va)
 {
-    const auto it = slotIndex_.find(va);
-    if (it == slotIndex_.end())
+    const std::uint32_t index = findSlot(va);
+    if (index == NoSlot)
         return nullptr;
-    // The caller is about to rewrite this slot (software call-site
-    // patching); drop the cached translation so the next fetch
-    // re-resolves it, and flush the block cache — any cached block
-    // may hold a pre-decoded copy of this slot in its body.
-    fastErase(va);
+    // The caller is about to rewrite this slot in place (software
+    // call-site patching). The index maps va -> slot, so it stays
+    // valid, but any cached block may hold a pre-decoded copy of
+    // this slot in its body.
     invalidateBlocks();
-    return &slots_[it->second];
+    return &slots_[index];
 }
 
 std::int32_t
 Image::blockIndex(Addr head) const
 {
     if (blockMask_ != 0) {
-        std::uint64_t i = fastHash(head) & blockMask_;
+        std::uint64_t i = vaHash(head) & blockMask_;
         while (blockVals_[i] != BlockEmpty) {
             if (blockKeys_[i] == head) {
                 ++blockHits_;
@@ -144,17 +95,15 @@ Image::blockIndex(Addr head) const
 std::int32_t
 Image::buildBlock(Addr head) const
 {
-    // Head lookup goes straight to slotIndex_, not decode(): block
-    // building must not perturb the decode-cache hit/miss counters
-    // relative to per-instruction dispatch.
-    auto it = slotIndex_.find(head);
-    if (it == slotIndex_.end())
+    // findSlot, not decode(): block building must not perturb the
+    // decode() counters relative to per-instruction dispatch.
+    std::uint32_t cur = findSlot(head);
+    if (cur == NoSlot)
         return BlockEmpty;
 
     Block b;
     b.headVa = head;
     b.firstOp = static_cast<std::uint32_t>(blockOps_.size());
-    std::uint32_t cur = it->second;
     Addr va = head;
     while (true) {
         const Slot &s = slots_[cur];
@@ -180,12 +129,11 @@ Image::buildBlock(Addr head) const
             cur = next;
             continue;
         }
-        const auto nit = slotIndex_.find(va);
-        if (nit == slotIndex_.end()) {
+        cur = findSlot(va);
+        if (cur == NoSlot) {
             b.endVa = va; // runs off decoded code; resume at va
             break;
         }
-        cur = nit->second;
     }
 
     const auto index = static_cast<std::int32_t>(blocks_.size());
@@ -201,7 +149,7 @@ Image::buildBlock(Addr head) const
 void
 Image::blockTableInsert(Addr va, std::int32_t index) const
 {
-    std::uint64_t i = fastHash(va) & blockMask_;
+    std::uint64_t i = vaHash(va) & blockMask_;
     while (blockVals_[i] != BlockEmpty)
         i = (i + 1) & blockMask_;
     blockKeys_[i] = va;
@@ -308,12 +256,14 @@ Image::totalTrampolines() const
 std::string
 Image::trampolineSymbol(Addr plt_jmp_va) const
 {
-    const auto it = pltJmpInfo_.find(plt_jmp_va);
-    if (it == pltJmpInfo_.end())
+    const std::uint32_t index = findSlot(plt_jmp_va);
+    if (index == NoSlot)
         return {};
-    const auto &lm = modules_[it->second.first];
-    return lm.module.imports()[it->second.second] + "@" +
-           lm.module.name();
+    const Slot &s = slots_[index];
+    if (!(s.flags & FlagPltJmp) || s.pltIndex == NoPltIndex)
+        return {};
+    const auto &lm = modules_[s.moduleId];
+    return lm.module.imports()[s.pltIndex] + "@" + lm.module.name();
 }
 
 std::string
@@ -359,19 +309,23 @@ Image::indexSlots()
     // Re-indexing means the decodable-code set changed (dlopen,
     // dlclose, snapshot restore): every cached block is suspect.
     invalidateBlocks();
-    slotIndex_.clear();
-    pltJmpInfo_.clear();
-    fastReset();
-    slotIndex_.reserve(slots_.size());
+    // Capacity 2x every slot ever added keeps the load factor
+    // <= 0.5; closed modules' slots stay in slots_ but not here.
+    const std::uint64_t capacity = std::bit_ceil(
+        std::max<std::uint64_t>(16, 2 * slots_.size()));
+    indexMask_ = capacity - 1;
+    indexKeys_.assign(capacity, 0);
+    indexVals_.assign(capacity, NoSlot);
     for (std::uint32_t i = 0; i < slots_.size(); ++i) {
         const Slot &s = slots_[i];
         if (!modules_[s.moduleId].loaded)
             continue;
-        slotIndex_.emplace(s.va, i);
-        if ((s.flags & FlagPltJmp) && s.pltIndex != NoPltIndex) {
-            pltJmpInfo_.emplace(
-                s.va, std::make_pair(s.moduleId,
-                                     std::uint32_t{s.pltIndex}));
+        std::uint64_t j = vaHash(s.va) & indexMask_;
+        while (indexVals_[j] != NoSlot && indexKeys_[j] != s.va)
+            j = (j + 1) & indexMask_;
+        if (indexVals_[j] == NoSlot) { // first loaded slot wins
+            indexKeys_[j] = s.va;
+            indexVals_[j] = i;
         }
     }
 }
@@ -434,32 +388,49 @@ Image::load(snapshot::Deserializer &d)
     // flags, u16 moduleId, u16 pltIndex, eight u8 instruction
     // fields, i64 imm); one raw() view replaces ~13 bounds-checked
     // reads per slot, which is measurable when a sweep restores a
-    // several-hundred-thousand-slot image into every arm.
+    // several-hundred-thousand-slot image into every arm. Every
+    // field that later indexes modules_, imports() or
+    // MachineState::regs, or is cast to an enum, is range-checked.
     constexpr std::size_t SlotWireBytes = 29;
+    const auto bad_reg = [](isa::Reg r) {
+        return r >= isa::NumRegs && r != isa::NoReg;
+    };
     const std::uint8_t *p = d.raw(slots_.size() * SlotWireBytes);
     for (Slot &slot : slots_) {
         slot.va = snapshot::le64(p);
         slot.flags = p[8];
         slot.moduleId = snapshot::le16(p + 9);
         slot.pltIndex = snapshot::le16(p + 11);
-        slot.inst.op = static_cast<isa::Opcode>(p[13]);
-        slot.inst.size = p[14];
-        slot.inst.alu = static_cast<isa::AluKind>(p[15]);
-        slot.inst.cond = static_cast<isa::CondKind>(p[16]);
-        slot.inst.dst = p[17];
-        slot.inst.src1 = p[18];
-        slot.inst.src2 = p[19];
-        slot.inst.memBase = p[20];
-        slot.inst.imm =
-            static_cast<std::int64_t>(snapshot::le64(p + 21));
+        isa::Instruction &in = slot.inst;
+        in.op = static_cast<isa::Opcode>(p[13]);
+        in.size = p[14];
+        in.alu = static_cast<isa::AluKind>(p[15]);
+        in.cond = static_cast<isa::CondKind>(p[16]);
+        in.dst = p[17];
+        in.src1 = p[18];
+        in.src2 = p[19];
+        in.memBase = p[20];
+        in.imm = static_cast<std::int64_t>(snapshot::le64(p + 21));
         p += SlotWireBytes;
+        if (in.op > isa::LastOpcode || in.alu > isa::LastAluKind ||
+            in.cond > isa::LastCondKind || in.size == 0 ||
+            in.size > 15 || (slot.flags & ~(FlagPlt | FlagPltJmp)))
+            d.fail("slot opcode, size or flags out of range");
+        if (bad_reg(in.dst) || bad_reg(in.src1) || bad_reg(in.src2) ||
+            bad_reg(in.memBase))
+            d.fail("slot register out of range");
+        if (slot.moduleId >= modules_.size() ||
+            (slot.pltIndex != NoPltIndex &&
+             slot.pltIndex >=
+                 modules_[slot.moduleId].module.imports().size()))
+            d.fail("slot module or plt index out of range");
     }
     const std::uint64_t hits = d.u64();
     const std::uint64_t misses = d.u64();
     d.leaveStruct();
-    // Rebuild the derived decode index (and reset the decode
-    // cache) from the restored slots and loaded flags, then pin
-    // the counters the restored run should continue from.
+    // Rebuild the derived slot index from the restored slots and
+    // loaded flags, then pin the counters the restored run should
+    // continue from.
     indexSlots();
     decodeHits_ = hits;
     decodeMisses_ = misses;

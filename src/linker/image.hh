@@ -1,7 +1,7 @@
 /**
  * @file
  * The loaded process image: modules mapped into an address space,
- * their PLT/GOT sections, and the decode index the CPU fetches from.
+ * their PLT/GOT sections, and the code index the CPU fetches from.
  *
  * PLT geometry matches x86-64 ELF (paper Fig. 2): each trampoline is
  * 16 bytes — an indirect jump through the module's GOTPLT slot,
@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "elf/module.hh"
@@ -125,7 +124,11 @@ struct LoadedModule
 /**
  * A loaded process image.
  *
- * Owns the address space, the loaded modules, and the decode index.
+ * Owns the address space, the loaded modules, and the code index:
+ * one open-addressed va -> slot table over every loaded slot, rebuilt
+ * wholesale by indexSlots() whenever the loaded set changes. Decode,
+ * block building and the trampoline census all probe it. The only
+ * other va-keyed table is the block cache's head table (below).
  * Construction is performed by Loader; runtime symbol binding by
  * DynamicLinker; execution by cpu::Core.
  */
@@ -138,9 +141,9 @@ class Image
     /** Decoded slot at va, or nullptr when va is not code. */
     const Slot *decode(Addr va) const;
     /**
-     * Mutable access for the software patcher. Invalidates the
-     * decode-cache entry for va: a patched call site must not be
-     * served from a cached translation (see docs/performance.md).
+     * Mutable access for the software patcher, which rewrites the
+     * slot in place. Flushes the block cache: a cached block may
+     * hold a pre-decoded copy of the slot.
      */
     Slot *decodeMutable(Addr va);
     /**
@@ -159,12 +162,10 @@ class Image
         return decode(slot->va + slot->inst.size);
     }
 
-    /** Decode-cache observability (tests, docs/performance.md). */
+    /** decode() lookups that found / did not find a slot. Kept for
+     *  dlbench's linker.decode_cache.hit_rate metric. */
     std::uint64_t decodeCacheHits() const { return decodeHits_; }
-    std::uint64_t decodeCacheMisses() const
-    {
-        return decodeMisses_;
-    }
+    std::uint64_t decodeCacheMisses() const { return decodeMisses_; }
     /** @} */
 
     /** @name Basic-block translation cache @{
@@ -174,11 +175,15 @@ class Image
      * control transfer or Halt (the terminator). Blocks are packed
      * into a flat arena of pre-decoded ops and found through an
      * open-addressed head-va table, so the executors pay one lookup
-     * per block instead of one per instruction. The cache holds
-     * decoded code only — no GOT values, no predictor or skip-unit
-     * state — so GOT rebinds need no flush; anything that changes
-     * decoded code (patcher writes, dlopen/dlclose re-indexing,
-     * snapshot restore) must call invalidateBlocks().
+     * per block instead of one per instruction. The head table stays
+     * separate from the code index: it is small, flushed wholesale
+     * and probed once per block, and folding it into a table sized
+     * for every slot ever loaded would move hot lookups into a cold
+     * table. The cache holds decoded code only — no GOT values, no
+     * predictor or skip-unit state — so GOT rebinds need no flush;
+     * anything that changes decoded code (patcher writes,
+     * dlopen/dlclose re-indexing, snapshot restore) must call
+     * invalidateBlocks().
      */
 
     /** One pre-decoded instruction of a cached block. */
@@ -238,8 +243,8 @@ class Image
         return &slots_[index];
     }
 
-    /** Memoize a successor edge (const for the same single-owner
-     *  reason the decode cache is mutable). */
+    /** Memoize a successor edge (const: the block cache is
+     *  mutable derived state, see below). */
     void memoSuccTaken(std::int32_t index, std::int32_t succ) const
     {
         blocks_[static_cast<std::uint32_t>(index)].succTaken = succ;
@@ -329,35 +334,35 @@ class Image
      * Checkpoint the image's mutable runtime state: per-module
      * loaded/namespace flags, every decoded slot (the software
      * patcher mutates slots in place, so patch state lives here),
-     * hwcap level, and namespace allocation. The decode index and
-     * cache are derived and rebuilt on load. The backing address
-     * space is serialized separately by the composer.
+     * hwcap level, and namespace allocation. The code index is
+     * derived and rebuilt on load. The backing address space is
+     * serialized separately by the composer.
      */
     void save(snapshot::Serializer &s) const;
 
     /** Restore; throws SnapshotError on module/slot count
-     *  mismatch. Rebuilds the decode index. */
+     *  mismatch or an out-of-range slot field. Rebuilds the code
+     *  index. */
     void load(snapshot::Deserializer &d);
 
     /** @name Construction interface (Loader/DynamicLinker) @{ */
     std::uint16_t addModule(elf::Module module);
     void addSlot(Slot slot);
-    /** (Re)build the va -> slot index after adding slots. */
+    /** Rebuild the code index from every loaded slot; the first
+     *  loaded slot for a va wins. */
     void indexSlots();
-    /** Drop a module's slots from the decode index (dlclose). */
+    /** Drop a module's slots from the code index (dlclose). */
     void removeModuleSlots(std::uint16_t module_id);
     /** @} */
 
   private:
-    /** Insert (va -> slot index) into the decode cache. */
-    void fastInsert(Addr va, std::uint32_t index) const;
-    /** Drop the cached entry for va (tombstone), if present. */
-    void fastErase(Addr va);
-    /** Clear and re-size the decode cache for slots_.size(). */
-    void fastReset();
+    /** Empty sentinel of the code index's value array. */
+    static constexpr std::uint32_t NoSlot = 0xffffffffu;
+    /** slots_ index of the loaded slot at va; NoSlot if none. */
+    std::uint32_t findSlot(Addr va) const;
 
     /** Walk slots from `head`, append a new block; -1 when `head`
-     *  is not in the decode index. */
+     *  is not in the code index. */
     std::int32_t buildBlock(Addr head) const;
     void blockTableInsert(Addr va, std::int32_t index) const;
     /** Re-size the head-va table and re-insert every live block. */
@@ -366,29 +371,24 @@ class Image
     std::unique_ptr<mem::AddressSpace> as_;
     std::vector<LoadedModule> modules_;
     std::vector<Slot> slots_;
-    std::unordered_map<Addr, std::uint32_t> slotIndex_;
 
     /**
-     * Decode cache: an open-addressed (linear probing) va -> slot
-     * index table in front of slotIndex_, populated on first
-     * decode of each pc. Steady-state fetch resolves a pc with one
-     * hash and (almost always) one probe against two flat arrays
-     * instead of an unordered_map walk. Invalidated entry-wise by
-     * decodeMutable (software patcher) and wholesale by
-     * indexSlots/removeModuleSlots (dlopen/dlclose). Mutable: the
-     * cache is populated from const decode(); an Image is owned by
-     * a single job thread (docs/performance.md).
+     * The code index: open-addressed (linear probing) va -> slots_
+     * index, load factor <= 0.5. No tombstones: indexSlots() is the
+     * only writer. The one-entry initial table answers "absent"
+     * until the first indexSlots().
      */
-    mutable std::vector<Addr> fastKeys_;
-    mutable std::vector<std::uint32_t> fastVals_;
-    mutable std::uint64_t fastMask_ = 0;
+    std::vector<Addr> indexKeys_{0};
+    std::vector<std::uint32_t> indexVals_{NoSlot};
+    std::uint64_t indexMask_ = 0;
     mutable std::uint64_t decodeHits_ = 0;
     mutable std::uint64_t decodeMisses_ = 0;
 
     /**
-     * Block cache (see the public section). Never serialized: like
-     * the decode cache it is derived state, rebuilt on demand after
-     * a restore. Mutable for the same single-owner reason.
+     * Block cache (see the public section). Never serialized: it is
+     * derived state, rebuilt on demand after a restore. Mutable:
+     * blocks are built from const blockIndex(); an Image is owned by
+     * a single job thread (docs/performance.md).
      */
     mutable std::vector<BlockOp> blockOps_;
     mutable std::vector<Block> blocks_;
@@ -399,8 +399,6 @@ class Image
     mutable std::uint64_t blockHits_ = 0;
     mutable std::uint64_t blockBuilds_ = 0;
     mutable std::uint64_t blockFlushes_ = 0;
-    std::unordered_map<Addr, std::pair<std::uint16_t, std::uint32_t>>
-        pltJmpInfo_; ///< trampoline va -> (module, import index).
     std::uint32_t hwCapLevel_ = 0;
     std::uint16_t nextNamespace_ = 1;
 

@@ -165,7 +165,12 @@ Sampler::runFunctionalSlice(std::uint32_t core,
         const auto r = ref.runFast(budget, cpu::MagicReturnVa);
         executed += r.steps;
         budget -= r.steps;
-        if (r.stop == check::FastStop::Resolver) {
+        // A trap reached just as the client's budget lapses is
+        // serviced at the start of its next slice, as after a
+        // detailed quantum: the kernel charges the resolver to the
+        // same slice in both modes.
+        if (r.stop == check::FastStop::Resolver &&
+            executed < max_insts) {
             const auto cost = serviceResolverFunctional(core);
             executed += cost;
             budget = cost >= budget ? 0 : budget - cost;

@@ -209,9 +209,10 @@ class Sampler
      * `max_insts` instructions or until the current fast-forward
      * phase's budget is spent, whichever is smaller. Syncs register
      * state core -> RefCore on entry and back on exit, services
-     * resolver traps architecturally, and resyncs every attached
-     * retire observer (fast-forwarded stores landed in the shared
-     * address space behind their forks' backs).
+     * resolver traps architecturally (one reached as `max_insts`
+     * lapses is left for the next slice, as in runQuantum), and
+     * resyncs every attached retire observer (fast-forwarded stores
+     * landed in the shared address space behind their forks' backs).
      */
     FfSlice runFunctionalSlice(std::uint32_t core,
                                std::uint64_t max_insts);

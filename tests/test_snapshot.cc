@@ -14,6 +14,7 @@
 
 #include "branch/btb.hh"
 #include "common.hh"
+#include "linker/loader.hh"
 #include "mem/address_space.hh"
 #include "mem/cache.hh"
 #include "mem/tlb.hh"
@@ -440,6 +441,70 @@ TEST(SnapshotStructures, RngStreamContinuation)
     // The restored generator continues the original stream exactly.
     for (int i = 0; i < 1000; ++i)
         EXPECT_EQ(b.next(), a.next());
+}
+
+/**
+ * A slot record whose fields would later index past modules_,
+ * imports() or the register file, or name no enumerator, is
+ * rejected at load. Each sub-case corrupts one field, saves (so the
+ * CRCs are valid) and loads into a fresh image.
+ */
+TEST(SnapshotStructures, ImageRejectsHostileSlotRecords)
+{
+    const auto make_image = [] {
+        linker::Loader loader;
+        return loader.load(counterExe(), {lib()});
+    };
+    struct Case
+    {
+        const char *what;
+        void (*corrupt)(linker::Slot &);
+        bool onTrampoline;
+    };
+    const Case cases[] = {
+        {"moduleId", [](linker::Slot &s) { s.moduleId = 99; }, false},
+        {"pltIndex", [](linker::Slot &s) { s.pltIndex = 500; }, true},
+        {"dst", [](linker::Slot &s) { s.inst.dst = NumRegs; }, false},
+        {"src1", [](linker::Slot &s) { s.inst.src1 = 200; }, false},
+        {"src2", [](linker::Slot &s) { s.inst.src2 = 16; }, false},
+        {"memBase", [](linker::Slot &s) { s.inst.memBase = 17; },
+         false},
+        {"op",
+         [](linker::Slot &s) { s.inst.op = static_cast<Opcode>(0x7f); },
+         false},
+        {"alu",
+         [](linker::Slot &s) {
+             s.inst.alu = static_cast<AluKind>(0x50);
+         },
+         false},
+        {"cond",
+         [](linker::Slot &s) {
+             s.inst.cond = static_cast<CondKind>(0x40);
+         },
+         false},
+        {"size", [](linker::Slot &s) { s.inst.size = 0; }, false},
+        {"flags", [](linker::Slot &s) { s.flags = 0x80; }, false},
+    };
+
+    // The untouched image round-trips.
+    {
+        auto a = make_image();
+        auto b = make_image();
+        EXPECT_NO_THROW(loadOne(*b, saveOne(*a)));
+    }
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        auto a = make_image();
+        const Addr va = c.onTrampoline
+                            ? a->moduleAt(0).pltEntryVas.at(0)
+                            : a->symbolAddress("f");
+        linker::Slot *slot = a->decodeMutable(va);
+        ASSERT_NE(slot, nullptr);
+        c.corrupt(*slot);
+        const auto bytes = saveOne(*a);
+        auto b = make_image();
+        EXPECT_THROW(loadOne(*b, bytes), SnapshotError);
+    }
 }
 
 TEST(SnapshotStructures, AddressSpaceCowTopologySurvives)
