@@ -10,6 +10,15 @@
 namespace dlsim::branch
 {
 
+namespace
+{
+
+/** Snapshot record of one entry: u64 pc, u64 target, bool valid,
+ *  u64 lastUse. */
+constexpr std::size_t EntryWireBytes = 25;
+
+} // namespace
+
 Btb::Btb(const BtbParams &params) : params_(params)
 {
     assert(params_.assoc > 0 && params_.entries >= params_.assoc);
@@ -110,12 +119,13 @@ Btb::save(snapshot::Serializer &s) const
     s.u64(lookups_);
     s.u64(hits_);
     s.u64(evictions_);
-    for (const Entry &e : entries_) {
-        s.u64(e.pc);
-        s.u64(e.target);
-        s.boolean(e.valid);
-        s.u64(e.lastUse);
-    }
+    s.records(entries_, EntryWireBytes,
+              [](std::uint8_t *p, const Entry &e) {
+                  snapshot::putLe64(p, e.pc);
+                  snapshot::putLe64(p + 8, e.target);
+                  p[16] = e.valid ? 1 : 0;
+                  snapshot::putLe64(p + 17, e.lastUse);
+              });
     s.endStruct();
 }
 
@@ -129,9 +139,7 @@ Btb::load(snapshot::Deserializer &d)
     lookups_ = d.u64();
     hits_ = d.u64();
     evictions_ = d.u64();
-    // Bulk-unpack (u64 pc, u64 target, bool, u64 lastUse = 25
-    // bytes/entry, matching save()); see Cache::load.
-    constexpr std::size_t EntryWireBytes = 25;
+    // Bulk-unpack; see mem::Cache::load.
     const std::uint8_t *p = d.raw(entries_.size() * EntryWireBytes);
     for (Entry &e : entries_) {
         e.pc = snapshot::le64(p);

@@ -8,6 +8,15 @@
 namespace dlsim::branch
 {
 
+namespace
+{
+
+/** Snapshot record of one entry: u64 tag, u64 target, bool valid,
+ *  u64 lastUse. */
+constexpr std::size_t EntryWireBytes = 25;
+
+} // namespace
+
 IndirectPredictor::IndirectPredictor(
     const IndirectPredictorParams &params)
     : params_(params)
@@ -101,12 +110,13 @@ IndirectPredictor::save(snapshot::Serializer &s) const
     s.u32(params_.historyBits);
     s.u64(history_);
     s.u64(tick_);
-    for (const Entry &e : entries_) {
-        s.u64(e.tag);
-        s.u64(e.target);
-        s.boolean(e.valid);
-        s.u64(e.lastUse);
-    }
+    s.records(entries_, EntryWireBytes,
+              [](std::uint8_t *p, const Entry &e) {
+                  snapshot::putLe64(p, e.tag);
+                  snapshot::putLe64(p + 8, e.target);
+                  p[16] = e.valid ? 1 : 0;
+                  snapshot::putLe64(p + 17, e.lastUse);
+              });
     s.endStruct();
 }
 
@@ -120,9 +130,7 @@ IndirectPredictor::load(snapshot::Deserializer &d)
     d.checkU32(params_.historyBits, "indirect historyBits");
     history_ = d.u64();
     tick_ = d.u64();
-    // Bulk-unpack (u64 tag, u64 target, bool, u64 lastUse = 25
-    // bytes/entry, matching save()); see Cache::load.
-    constexpr std::size_t EntryWireBytes = 25;
+    // Bulk-unpack; see mem::Cache::load.
     const std::uint8_t *p = d.raw(entries_.size() * EntryWireBytes);
     for (Entry &e : entries_) {
         e.tag = snapshot::le64(p);

@@ -246,7 +246,7 @@ TrampolineSkipUnit::load(snapshot::Deserializer &d)
     windowLeft_ = d.u32();
     asid_ = d.u16();
     bloomShadow_.clear();
-    const std::uint64_t n = d.u64();
+    const std::size_t n = d.count<std::uint64_t>(8);
     bloomShadow_.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i)
         bloomShadow_.insert(d.u64());

@@ -1105,14 +1105,14 @@ Core::load(snapshot::Deserializer &d)
     cnt_.resolverCalls = d.u64();
     cnt_.demandFaults = d.u64();
     trampolineCounts_.clear();
-    const std::uint64_t ncounts = d.u64();
+    const std::size_t ncounts = d.count<std::uint64_t>(16);
     trampolineCounts_.reserve(ncounts);
     for (std::uint64_t i = 0; i < ncounts; ++i) {
         const Addr va = d.u64();
         trampolineCounts_[va] = d.u64();
     }
     trace_.clear();
-    const std::uint64_t ntrace = d.u64();
+    const std::size_t ntrace = d.count<std::uint64_t>(25);
     trace_.reserve(ntrace);
     for (std::uint64_t i = 0; i < ntrace; ++i) {
         linker::CallSiteRecord r;
@@ -1123,7 +1123,7 @@ Core::load(snapshot::Deserializer &d)
         trace_.push_back(r);
     }
     tracedSites_.clear();
-    const std::uint64_t ntraced = d.u64();
+    const std::size_t ntraced = d.count<std::uint64_t>(8);
     tracedSites_.reserve(ntraced);
     for (std::uint64_t i = 0; i < ntraced; ++i)
         tracedSites_.insert(d.u64());

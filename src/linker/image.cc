@@ -34,6 +34,10 @@ vaHash(Addr va)
     return h ^ (h >> 29);
 }
 
+/** Snapshot record of one slot: u64 va, u8 flags, u16 moduleId, u16
+ *  pltIndex, eight u8 instruction fields, i64 imm. */
+constexpr std::size_t SlotWireBytes = 29;
+
 } // namespace
 
 Image::Image() : as_(std::make_unique<mem::AddressSpace>()) {}
@@ -350,21 +354,24 @@ Image::save(snapshot::Serializer &s) const
         s.u16(m.namespaceId);
     }
     s.u64(slots_.size());
-    for (const Slot &slot : slots_) {
-        s.u64(slot.va);
-        s.u8(slot.flags);
-        s.u16(slot.moduleId);
-        s.u16(slot.pltIndex);
-        s.u8(static_cast<std::uint8_t>(slot.inst.op));
-        s.u8(slot.inst.size);
-        s.u8(static_cast<std::uint8_t>(slot.inst.alu));
-        s.u8(static_cast<std::uint8_t>(slot.inst.cond));
-        s.u8(slot.inst.dst);
-        s.u8(slot.inst.src1);
-        s.u8(slot.inst.src2);
-        s.u8(slot.inst.memBase);
-        s.i64(slot.inst.imm);
-    }
+    s.records(slots_, SlotWireBytes,
+              [](std::uint8_t *p, const Slot &slot) {
+                  const isa::Instruction &in = slot.inst;
+                  snapshot::putLe64(p, slot.va);
+                  p[8] = slot.flags;
+                  snapshot::putLe16(p + 9, slot.moduleId);
+                  snapshot::putLe16(p + 11, slot.pltIndex);
+                  p[13] = static_cast<std::uint8_t>(in.op);
+                  p[14] = in.size;
+                  p[15] = static_cast<std::uint8_t>(in.alu);
+                  p[16] = static_cast<std::uint8_t>(in.cond);
+                  p[17] = in.dst;
+                  p[18] = in.src1;
+                  p[19] = in.src2;
+                  p[20] = in.memBase;
+                  snapshot::putLe64(p + 21,
+                                    static_cast<std::uint64_t>(in.imm));
+              });
     s.u64(decodeHits_);
     s.u64(decodeMisses_);
     s.endStruct();
@@ -383,15 +390,12 @@ Image::load(snapshot::Deserializer &d)
         m.namespaceId = d.u16();
     }
     d.checkU64(slots_.size(), "image slot count");
-    // Bulk-unpack the slot array. Each slot is a fixed 29-byte
-    // record (the field-by-field layout save() writes: u64 va, u8
-    // flags, u16 moduleId, u16 pltIndex, eight u8 instruction
-    // fields, i64 imm); one raw() view replaces ~13 bounds-checked
-    // reads per slot, which is measurable when a sweep restores a
-    // several-hundred-thousand-slot image into every arm. Every
-    // field that later indexes modules_, imports() or
-    // MachineState::regs, or is cast to an enum, is range-checked.
-    constexpr std::size_t SlotWireBytes = 29;
+    // Bulk-unpack the slot array: one raw() view replaces ~13
+    // bounds-checked reads per slot, which is measurable when a
+    // sweep restores a several-hundred-thousand-slot image into
+    // every arm. Every field that later indexes modules_, imports()
+    // or MachineState::regs, or is cast to an enum, is
+    // range-checked.
     const auto bad_reg = [](isa::Reg r) {
         return r >= isa::NumRegs && r != isa::NoReg;
     };

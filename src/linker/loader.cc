@@ -170,6 +170,9 @@ Loader::dlopen(Image &image, elf::Module lib,
             libCursor_ += rng_.nextBelow(64) * mem::PageBytes;
         placeModule(image, id);
     }
+    // A restore skeleton replays layout only (see dlclose).
+    if (options_.skeletonForRestore)
+        return id;
     image.indexSlots();
     relocateModule(image, id);
     bindModule(image, id);
@@ -219,6 +222,34 @@ Loader::dlclose(Image &image, const std::string &module_name,
         throw std::invalid_argument("dlclose: not loaded: " +
                                     module_name);
     auto &closing = image.moduleAt(id);
+
+    // A restore skeleton replays layout only: the restore replaces
+    // GOT pages, the stable map and the slot index wholesale.
+    if (!options_.skeletonForRestore)
+        unbind(image, closing, got_write_hook);
+
+    image.addressSpace().unmap(closing.textBase);
+    image.addressSpace().unmap(closing.gotBase);
+    if (closing.module.dataSize() > 0)
+        image.addressSpace().unmap(closing.dataBase);
+    if (options_.skeletonForRestore)
+        closing.loaded = false;
+    else
+        image.removeModuleSlots(closing.id);
+
+    // The whole span placeModule consumed (text+PLT, GOT, data,
+    // guard page) becomes reusable by a later dlopen.
+    const Addr end = closing.dataBase +
+                     alignUp(closing.module.dataSize(),
+                             mem::PageBytes) +
+                     mem::PageBytes;
+    freed_.push_back({closing.textBase, end - closing.textBase});
+}
+
+void
+Loader::unbind(Image &image, const LoadedModule &closing,
+               const std::function<void(Addr)> &got_write_hook)
+{
     const Addr lo = closing.textBase;
     const Addr hi = closing.textBase + closing.textSize;
 
@@ -253,20 +284,6 @@ Loader::dlclose(Image &image, const std::string &module_name,
             }
         }
     }
-
-    image.addressSpace().unmap(closing.textBase);
-    image.addressSpace().unmap(closing.gotBase);
-    if (closing.module.dataSize() > 0)
-        image.addressSpace().unmap(closing.dataBase);
-    image.removeModuleSlots(closing.id);
-
-    // The whole span placeModule consumed (text+PLT, GOT, data,
-    // guard page) becomes reusable by a later dlopen.
-    const Addr end = closing.dataBase +
-                     alignUp(closing.module.dataSize(),
-                             mem::PageBytes) +
-                     mem::PageBytes;
-    freed_.push_back({closing.textBase, end - closing.textBase});
 }
 
 Addr
@@ -618,6 +635,9 @@ Loader::load(snapshot::Deserializer &d)
     stableMisses_ = d.u64();
     stableInvalidations_ = d.u64();
     d.leaveStruct();
+    // The restore has replaced everything a skeleton skipped: from
+    // here on dlopen and dlclose do their full work.
+    options_.skeletonForRestore = false;
 }
 
 } // namespace dlsim::linker

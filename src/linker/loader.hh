@@ -117,8 +117,11 @@ struct LoaderOptions
      * pool, every slot field from its image record, and
      * Image::load re-runs indexSlots). Layout, module metadata,
      * and symbol tables — the parts a restore keeps — are built
-     * identically. An image built this way and never restored is
-     * not runnable.
+     * identically. dlopen and dlclose on such an image replay
+     * layout only — module add and placement, with first-fit
+     * reuse — so a restore can re-create a churned module table
+     * cheaply. Loader::load ends skeleton mode. An image built
+     * this way and never restored is not runnable.
      */
     bool skeletonForRestore = false;
 };
@@ -238,6 +241,12 @@ class Loader
      *  back to (and memoises) a full Image::symbolAddress lookup. */
     Addr stableResolve(Image &image, std::uint16_t ns,
                        const std::string &symbol);
+
+    /** dlclose's linker work: re-lazify GOT slots in other modules
+     *  that resolved into `closing`, reporting each write via the
+     *  hook, and drop its stable-map resolutions. */
+    void unbind(Image &image, const LoadedModule &closing,
+                const std::function<void(Addr)> &got_write_hook);
 
     /** Stable-mode dlopen epilogue: re-bind still-lazy GOT slots in
      *  other modules that the image can now satisfy (slots a prior

@@ -138,7 +138,7 @@ AddressSpace::touchPage(Addr page_num, bool for_write,
 {
     auto &slot = pages_[page_num];
     if (!slot.page) {
-        slot.page = std::make_shared<PhysPage>();
+        slot.page = std::make_shared<PhysPage>(); // zeroed
         slot.cow = false;
         if (r != nullptr && r->demand)
             demandFill(*r, page_num, *slot.page);
@@ -379,11 +379,12 @@ void
 PagePoolLoader::load(snapshot::Deserializer &d)
 {
     d.enterStruct("pages");
-    const std::uint32_t count = d.u32();
+    const std::size_t count = d.count(PageBytes);
     pages_.clear();
     pages_.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        auto page = std::make_shared<PhysPage>();
+    for (std::size_t i = 0; i < count; ++i) {
+        // Every byte is copied in next: skip the zero-fill.
+        auto page = std::make_shared_for_overwrite<PhysPage>();
         d.bytes(page->words.data(), PageBytes);
         pages_.push_back(std::move(page));
     }
@@ -448,9 +449,12 @@ AddressSpace::load(snapshot::Deserializer &d,
     d.enterStruct("aspace");
     regions_.clear();
     lastRegion_ = 0;
-    const std::uint32_t nregions = d.u32();
+    // A region record: u64 start, u64 size, u8 perms, u8 kind, str
+    // name (u32 length + bytes), bool demand, u64 fillSeed, u64
+    // fillBytes.
+    const std::size_t nregions = d.count(39);
     regions_.reserve(nregions);
-    for (std::uint32_t i = 0; i < nregions; ++i) {
+    for (std::size_t i = 0; i < nregions; ++i) {
         Region r;
         r.start = d.u64();
         r.size = d.u64();
@@ -468,9 +472,10 @@ AddressSpace::load(snapshot::Deserializer &d,
         c = d.u64();
     demandFaultsTotal_ = d.u64();
     pages_.clear();
-    const std::uint64_t npages = d.u64();
+    // A page record: u64 page number, u32 pool id, bool cow.
+    const std::size_t npages = d.count<std::uint64_t>(13);
     pages_.reserve(npages);
-    for (std::uint64_t i = 0; i < npages; ++i) {
+    for (std::size_t i = 0; i < npages; ++i) {
         const Addr num = d.u64();
         PageSlot slot;
         slot.page = pool.page(d.u32());

@@ -92,10 +92,13 @@ enum class MemFault : std::uint8_t
 
 /**
  * A page of backing storage, shareable between address spaces.
+ * Default-initialisation leaves the words indeterminate, for a
+ * snapshot restore that copies every byte in; first touch creates
+ * pages value-initialised, i.e. zeroed.
  */
 struct PhysPage
 {
-    std::array<std::uint64_t, WordsPerPage> words{};
+    std::array<std::uint64_t, WordsPerPage> words;
 };
 
 /**

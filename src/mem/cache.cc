@@ -9,6 +9,15 @@
 namespace dlsim::mem
 {
 
+namespace
+{
+
+/** Snapshot record of one way: u64 tag, u16 asid, bool valid, u64
+ *  lastUse — the packed key decomposed into its fields. */
+constexpr std::size_t WayWireBytes = 19;
+
+} // namespace
+
 Cache::Cache(const CacheParams &params) : params_(params)
 {
     assert(params_.lineBytes > 0 &&
@@ -191,15 +200,16 @@ Cache::save(snapshot::Serializer &s) const
     s.u64(misses_);
     s.u64(prefetches_);
     s.u64(evictions_);
-    for (const Way &w : ways_) {
-        // Decompose the packed key into the original wire fields.
-        s.u64(w.key >> 17);
-        s.u16(static_cast<std::uint16_t>((w.key >> 1) & 0xffff));
-        s.boolean((w.key & 1) != 0);
-        s.u64(w.lastUse);
-    }
-    for (const std::uint32_t m : mruWay_)
-        s.u32(m);
+    s.records(ways_, WayWireBytes, [](std::uint8_t *p, const Way &w) {
+        snapshot::putLe64(p, w.key >> 17);
+        snapshot::putLe16(p + 8,
+                          static_cast<std::uint16_t>(w.key >> 1));
+        p[10] = static_cast<std::uint8_t>(w.key & 1);
+        snapshot::putLe64(p + 11, w.lastUse);
+    });
+    s.records(mruWay_, 4, [](std::uint8_t *p, std::uint32_t m) {
+        snapshot::putLe32(p, m);
+    });
     s.endStruct();
 }
 
@@ -219,11 +229,9 @@ Cache::load(snapshot::Deserializer &d)
     misses_ = d.u64();
     prefetches_ = d.u64();
     evictions_ = d.u64();
-    // Bulk-unpack the way array (u64 tag, u16 asid, bool valid,
-    // u64 lastUse = 19 bytes/way, the layout save() writes): a
-    // sweep restores tens of thousands of ways per arm, so the
-    // per-field bounds-checked reads are measurable restore cost.
-    constexpr std::size_t WayWireBytes = 19;
+    // Bulk-unpack the way array: a sweep restores tens of
+    // thousands of ways per arm, so per-field bounds-checked reads
+    // would be measurable restore cost.
     const std::uint8_t *p = d.raw(ways_.size() * WayWireBytes);
     for (Way &w : ways_) {
         w.key = (snapshot::le64(p) << 17) |
@@ -233,8 +241,11 @@ Cache::load(snapshot::Deserializer &d)
         w.lastUse = snapshot::le64(p + 11);
         p += WayWireBytes;
     }
-    for (std::uint32_t &m : mruWay_)
-        m = d.u32();
+    p = d.raw(mruWay_.size() * 4);
+    for (std::uint32_t &m : mruWay_) {
+        m = snapshot::le32(p);
+        p += 4;
+    }
     lastWay_ = nullptr; // transient; never valid across a restore
     d.leaveStruct();
 }

@@ -9,6 +9,15 @@
 namespace dlsim::mem
 {
 
+namespace
+{
+
+/** Snapshot record of one entry: u64 vpn, u16 asid, bool valid,
+ *  u64 lastUse — the packed key decomposed into its fields. */
+constexpr std::size_t EntryWireBytes = 19;
+
+} // namespace
+
 Tlb::Tlb(const TlbParams &params) : params_(params)
 {
     assert(params_.assoc > 0 && params_.entries >= params_.assoc);
@@ -90,13 +99,14 @@ Tlb::save(snapshot::Serializer &s) const
     s.u64(hits_);
     s.u64(misses_);
     s.u64(evictions_);
-    for (const Entry &e : entries_) {
-        // Decompose the packed key into the original wire fields.
-        s.u64(e.key >> 17);
-        s.u16(static_cast<std::uint16_t>((e.key >> 1) & 0xffff));
-        s.boolean((e.key & 1) != 0);
-        s.u64(e.lastUse);
-    }
+    s.records(entries_, EntryWireBytes,
+              [](std::uint8_t *p, const Entry &e) {
+                  snapshot::putLe64(p, e.key >> 17);
+                  snapshot::putLe16(
+                      p + 8, static_cast<std::uint16_t>(e.key >> 1));
+                  p[10] = static_cast<std::uint8_t>(e.key & 1);
+                  snapshot::putLe64(p + 11, e.lastUse);
+              });
     s.endStruct();
 }
 
@@ -114,9 +124,7 @@ Tlb::load(snapshot::Deserializer &d)
     hits_ = d.u64();
     misses_ = d.u64();
     evictions_ = d.u64();
-    // Bulk-unpack (u64 vpn, u16 asid, bool, u64 lastUse = 19
-    // bytes/entry, matching save()); see Cache::load.
-    constexpr std::size_t EntryWireBytes = 19;
+    // Bulk-unpack; see Cache::load.
     const std::uint8_t *p = d.raw(entries_.size() * EntryWireBytes);
     for (Entry &e : entries_) {
         e.key = (snapshot::le64(p) << 17) |

@@ -21,7 +21,7 @@ void
 loadWaiters(dlsim::snapshot::Deserializer &d,
             std::vector<std::uint32_t> &w)
 {
-    w.resize(d.u32());
+    w.resize(d.count(4));
     for (auto &tid : w)
         tid = d.u32();
 }
@@ -85,7 +85,7 @@ void
 Pipe::load(snapshot::Deserializer &d)
 {
     d.enterStruct("pipe");
-    buf_.resize(d.u64());
+    buf_.resize(d.count<std::uint64_t>(1));
     head_ = d.u64();
     count_ = d.u64();
     closed_ = d.boolean();

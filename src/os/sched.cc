@@ -44,7 +44,7 @@ void
 CallThread::load(snapshot::Deserializer &d)
 {
     d.enterStruct("call_thread");
-    results_.resize(d.u32());
+    results_.resize(d.count(8));
     for (auto &r : results_)
         r = d.u64();
     d.leaveStruct();
@@ -569,7 +569,7 @@ Kernel::load(snapshot::Deserializer &d)
                "kernel core count");
     now_ = d.u64();
     liveThreads_ = d.u32();
-    ready_.resize(d.u32());
+    ready_.resize(d.count(4));
     for (auto &tid : ready_)
         tid = d.u32();
     for (auto &tid : running_)

@@ -397,6 +397,9 @@ Server::Server(workload::Workbench &wb,
     // are size-invariant across generations (only immediates vary)
     // and the loader's first-fit reuse gives a replay the identical
     // layout; no broadcasts or stats — the snapshot carries those.
+    // On a for_restore Workbench the replay is layout only
+    // (LoaderOptions::skeletonForRestore): relocation, binding and
+    // slot indexing would all be overwritten by the loads below.
     d.enterSection("os_meta");
     d.enterStruct("os_meta");
     const std::uint32_t churns = d.u32();
@@ -477,43 +480,42 @@ Server::snapshot() const
 {
     assert(clientsDone_ == 0 &&
            "snapshot a warm server before any client runs dry");
-    snapshot::Serializer s(snapshotFingerprint());
+    const auto save = [this](snapshot::Serializer &s) {
+        s.beginSection("os_meta");
+        s.beginStruct("os_meta");
+        s.u32(static_cast<std::uint32_t>(churnHistory_.size()));
+        for (const auto t : churnHistory_)
+            s.u32(t);
+        s.endStruct();
+        s.endSection();
 
-    s.beginSection("os_meta");
-    s.beginStruct("os_meta");
-    s.u32(static_cast<std::uint32_t>(churnHistory_.size()));
-    for (const auto t : churnHistory_)
-        s.u32(t);
-    s.endStruct();
-    s.endSection();
+        wb_.save(s);
+        s.beginSection("multicore");
+        sys_.save(s);
+        s.endSection();
+        s.beginSection("kernel");
+        kernel_.save(s);
+        s.endSection();
 
-    wb_.save(s);
-    s.beginSection("multicore");
-    sys_.save(s);
-    s.endSection();
-    s.beginSection("kernel");
-    kernel_.save(s);
-    s.endSection();
-
-    s.beginSection("server");
-    s.beginStruct("server");
-    for (const auto g : gen_)
-        s.u32(g);
-    for (const auto f : inFlight_)
-        s.u32(f);
-    for (std::uint32_t t = 0; t < params_.tenants; ++t)
-        s.boolean(static_cast<bool>(churnPending_[t]));
-    s.u32(nextChurnTenant_);
-    s.u32(clientsDone_);
-    s.u64(stats_.requestsServed);
-    s.u64(stats_.tenantChurns);
-    s.u64(stats_.gotResets);
-    s.u64(stats_.deferredChurns);
-    s.endStruct();
-    latency_.save(s);
-    s.endSection();
-
-    return s.finish();
+        s.beginSection("server");
+        s.beginStruct("server");
+        for (const auto g : gen_)
+            s.u32(g);
+        for (const auto f : inFlight_)
+            s.u32(f);
+        for (std::uint32_t t = 0; t < params_.tenants; ++t)
+            s.boolean(static_cast<bool>(churnPending_[t]));
+        s.u32(nextChurnTenant_);
+        s.u32(clientsDone_);
+        s.u64(stats_.requestsServed);
+        s.u64(stats_.tenantChurns);
+        s.u64(stats_.gotResets);
+        s.u64(stats_.deferredChurns);
+        s.endStruct();
+        latency_.save(s);
+        s.endSection();
+    };
+    return snapshot::serialize(snapshotFingerprint(), save);
 }
 
 void

@@ -65,13 +65,13 @@ Listener::load(snapshot::Deserializer &d)
     d.enterStruct("listener");
     port = static_cast<std::int32_t>(d.u32());
     backlogMax = d.u32();
-    backlog.resize(d.u32());
+    backlog.resize(d.count(4));
     for (auto &cid : backlog)
         cid = static_cast<std::int32_t>(d.u32());
-    acceptWaiters.resize(d.u32());
+    acceptWaiters.resize(d.count(4));
     for (auto &tid : acceptWaiters)
         tid = d.u32();
-    connectWaiters.resize(d.u32());
+    connectWaiters.resize(d.count(4));
     for (auto &tid : connectWaiters)
         tid = d.u32();
     d.leaveStruct();

@@ -134,8 +134,10 @@ System::load(snapshot::Deserializer &d)
     if (count == 0 || cur >= count)
         d.fail("corrupt process table");
 
+    // No reserve: the count sits in "sys", ahead of the records it
+    // counts, so it cannot be checked against them up front; each
+    // record below fails on its own if the section runs out.
     std::vector<std::unique_ptr<Process>> procs;
-    procs.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
         auto p = std::make_unique<Process>();
         d.enterStruct("proc");

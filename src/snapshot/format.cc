@@ -8,6 +8,9 @@ namespace dlsim::snapshot
 namespace
 {
 
+/** The reflected polynomial, bit 31 holding x^0. */
+constexpr std::uint32_t Poly = 0xedb88320u;
+
 /**
  * Slice-by-8 CRC-32 tables: table[0] is the classic byte-at-a-time
  * table; table[k][b] extends it so eight bytes fold in per step.
@@ -22,7 +25,7 @@ makeCrcTables()
     for (std::uint32_t n = 0; n < 256; ++n) {
         std::uint32_t c = n;
         for (int k = 0; k < 8; ++k)
-            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+            c = (c & 1) ? Poly ^ (c >> 1) : c >> 1;
         t[0][n] = c;
     }
     for (std::uint32_t n = 0; n < 256; ++n)
@@ -31,13 +34,56 @@ makeCrcTables()
     return t;
 }
 
+/** a·b mod P over GF(2), both operands reflected. */
+std::uint32_t
+multModP(std::uint32_t a, std::uint32_t b)
+{
+    std::uint32_t m = 1u << 31;
+    std::uint32_t p = 0;
+    for (;;) {
+        if (a & m) {
+            p ^= b;
+            if ((a & (m - 1)) == 0)
+                break;
+        }
+        m >>= 1;
+        b = (b & 1) ? (b >> 1) ^ Poly : b >> 1;
+    }
+    return p;
+}
+
+/** x2n[k] = x^(2^k) mod P; the powers repeat with period 32. */
+std::array<std::uint32_t, 32>
+makeX2nTable()
+{
+    std::array<std::uint32_t, 32> t{};
+    std::uint32_t p = 1u << 30; // x^1
+    t[0] = p;
+    for (std::size_t k = 1; k < t.size(); ++k)
+        t[k] = p = multModP(p, p);
+    return t;
+}
+
+/** x^(n·2^k) mod P, by squaring over the bits of n. */
+std::uint32_t
+x2nModP(std::uint64_t n, unsigned k)
+{
+    static const auto x2n = makeX2nTable();
+    std::uint32_t p = 1u << 31; // x^0
+    for (; n != 0; n >>= 1, ++k) {
+        if (n & 1)
+            p = multModP(x2n[k & 31], p);
+    }
+    return p;
+}
+
 } // namespace
 
 std::uint32_t
-crc32(const std::uint8_t *data, std::size_t size)
+crc32(const std::uint8_t *data, std::size_t size, std::uint32_t crc)
 {
     static const auto t = makeCrcTables();
-    std::uint32_t c = 0xffffffffu;
+    std::uint32_t c = crc ^ 0xffffffffu;
     while (size >= 8) {
         const std::uint32_t lo =
             c ^ (static_cast<std::uint32_t>(data[0]) |
@@ -54,6 +100,15 @@ crc32(const std::uint8_t *data, std::size_t size)
     for (std::size_t i = 0; i < size; ++i)
         c = t[0][(c ^ data[i]) & 0xffu] ^ (c >> 8);
     return c ^ 0xffffffffu;
+}
+
+std::uint32_t
+crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+             std::uint64_t len_b)
+{
+    // Appending |B| bytes multiplies A's CRC register by x^(8·|B|);
+    // the pre/post conditioning of the two parts cancels in the XOR.
+    return multModP(x2nModP(len_b, 3), crc_a) ^ crc_b;
 }
 
 } // namespace dlsim::snapshot

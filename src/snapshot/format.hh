@@ -55,8 +55,22 @@ class SnapshotError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** CRC-32 (IEEE 802.3 polynomial, reflected) of `size` bytes. */
-std::uint32_t crc32(const std::uint8_t *data, std::size_t size);
+/**
+ * CRC-32 (IEEE 802.3 polynomial, reflected) of `size` bytes,
+ * continuing from `crc`, the CRC of the bytes before them (0 for
+ * none): crc32(B, |B|, crc32(A, |A|)) == crc32(A‖B).
+ */
+std::uint32_t crc32(const std::uint8_t *data, std::size_t size,
+                    std::uint32_t crc = 0);
+
+/**
+ * CRC of a concatenation from its parts' CRCs, without re-reading
+ * either part: crc32Combine(crc(A), crc(B), |B|) == crc(A‖B). One
+ * GF(2) multiply of crc(A) by x^(8·|B|) mod P, as in zlib's
+ * crc32_combine.
+ */
+std::uint32_t crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                           std::uint64_t len_b);
 
 /**
  * FNV-1a 64-bit hasher used for parameter fingerprints: a snapshot

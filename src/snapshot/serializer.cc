@@ -1,5 +1,6 @@
 #include "snapshot/serializer.hh"
 
+#include <cassert>
 #include <cstring>
 
 namespace dlsim::snapshot
@@ -8,45 +9,7 @@ namespace dlsim::snapshot
 namespace
 {
 
-void
-putU32(std::vector<std::uint8_t> &out, std::size_t at,
-       std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-void
-appendU32(std::vector<std::uint8_t> &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-appendU64(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t
-readU32(const std::uint8_t *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-readU64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
+constexpr std::size_t MaxLength = UINT32_MAX;
 
 void
 checkTag(const std::string &tag)
@@ -55,19 +18,86 @@ checkTag(const std::string &tag)
         throw SnapshotError("snapshot: bad tag '" + tag + "'");
 }
 
+void
+checkLength(std::size_t len, const char *what)
+{
+    if (len > MaxLength)
+        throw SnapshotError(std::string("snapshot: ") + what + " of " +
+                            std::to_string(len) +
+                            " bytes exceeds the format's u32 length");
+}
+
 } // namespace
 
 // --------------------------------------------------------------
 // Serializer
 // --------------------------------------------------------------
 
-std::vector<std::uint8_t> &
-Serializer::buf()
+std::vector<std::uint8_t>
+serialize(std::uint64_t fingerprint, const SaveFn &save)
 {
-    if (!inSection_)
-        throw SnapshotError(
-            "snapshot: write outside any section");
-    return sections_.back().data;
+    Serializer s;
+    std::vector<std::uint8_t> out(s.plan(save));
+    s.write(out.data(), fingerprint, save);
+    return out;
+}
+
+std::size_t
+serializedSize(const SaveFn &save)
+{
+    Serializer s;
+    return s.plan(save);
+}
+
+std::size_t
+Serializer::plan(const SaveFn &save)
+{
+    save(*this);
+    if (inSection_)
+        throw SnapshotError("snapshot: composer left a section open");
+    std::size_t total =
+        HeaderBytes + sections_.size() * TableEntryBytes;
+    for (const Section &sec : sections_)
+        total += sec.size;
+    return total;
+}
+
+void
+Serializer::write(std::uint8_t *out, std::uint64_t fingerprint,
+                  const SaveFn &save)
+{
+    out_ = out;
+    pos_ = HeaderBytes + sections_.size() * TableEntryBytes;
+    save(*this);
+    if (inSection_ || nextSection_ != sections_.size())
+        diverged();
+
+    putLe32(out, Magic);
+    putLe32(out + 4, FormatVersion);
+    putLe64(out + 8, fingerprint);
+    putLe32(out + 16, static_cast<std::uint32_t>(sections_.size()));
+    putLe32(out + 20, crc32(out + HeaderBytes,
+                            sections_.size() * TableEntryBytes));
+}
+
+void
+Serializer::outsideSection()
+{
+    throw SnapshotError("snapshot: write outside any section");
+}
+
+void
+Serializer::diverged()
+{
+    throw SnapshotError("snapshot: composer wrote a different stream "
+                        "in the write pass than in the sizing pass");
+}
+
+void
+Serializer::hashPending(Frame &f) const
+{
+    f.crc = crc32(out_ + f.hashed, pos_ - f.hashed, f.crc);
+    f.hashed = pos_;
 }
 
 void
@@ -77,11 +107,20 @@ Serializer::beginSection(const std::string &tag)
     if (inSection_)
         throw SnapshotError(
             "snapshot: nested section '" + tag + "'");
-    for (const auto &s : sections_)
-        if (s.tag == tag)
-            throw SnapshotError(
-                "snapshot: duplicate section '" + tag + "'");
-    sections_.push_back({tag, {}});
+    if (out_ == nullptr) {
+        for (const auto &sec : sections_)
+            if (sec.tag == tag)
+                throw SnapshotError(
+                    "snapshot: duplicate section '" + tag + "'");
+        sections_.push_back({tag, 0});
+        pos_ = 0;
+    } else {
+        if (nextSection_ == sections_.size() ||
+            sections_[nextSection_].tag != tag)
+            diverged();
+        sectionEnd_ = pos_ + sections_[nextSection_].size;
+    }
+    frames_.push_back({pos_, pos_, 0});
     inSection_ = true;
 }
 
@@ -90,133 +129,78 @@ Serializer::endSection()
 {
     if (!inSection_)
         throw SnapshotError("snapshot: endSection without begin");
-    if (!structStack_.empty())
+    if (frames_.size() != 1)
         throw SnapshotError(
             "snapshot: endSection with open struct");
+    Frame f = frames_.back();
+    frames_.pop_back();
     inSection_ = false;
+    if (out_ == nullptr) {
+        sections_.back().size = pos_;
+        return;
+    }
+    if (pos_ != sectionEnd_)
+        diverged();
+    hashPending(f);
+
+    Section &sec = sections_[nextSection_];
+    std::uint8_t *e =
+        out_ + HeaderBytes + nextSection_ * TableEntryBytes;
+    std::memset(e, 0, TableEntryBytes);
+    std::memcpy(e, sec.tag.data(), sec.tag.size());
+    putLe64(e + 16, f.start);
+    putLe64(e + 24, sec.size);
+    putLe32(e + 32, f.crc);
+    ++nextSection_;
 }
 
 void
 Serializer::beginStruct(const std::string &tag)
 {
     checkTag(tag);
-    auto &out = buf();
-    out.push_back(static_cast<std::uint8_t>(tag.size()));
-    out.insert(out.end(), tag.begin(), tag.end());
-    // Reserve the length and CRC slots; patched in endStruct.
-    const std::size_t slot = out.size();
-    appendU32(out, 0);
-    appendU32(out, 0);
-    structStack_.push_back(slot);
+    if (!inSection_)
+        outsideSection();
+    if (out_ != nullptr)
+        hashPending(frames_.back());
+    u8(static_cast<std::uint8_t>(tag.size()));
+    put(tag.data(), tag.size());
+    // Length and CRC slots, filled in by endStruct.
+    u32(0);
+    u32(0);
+    frames_.push_back({pos_, pos_, 0});
 }
 
 void
 Serializer::endStruct()
 {
-    if (structStack_.empty())
+    if (frames_.size() < 2)
         throw SnapshotError("snapshot: endStruct without begin");
-    auto &out = buf();
-    const std::size_t slot = structStack_.back();
-    structStack_.pop_back();
-    const std::size_t payload = slot + 8;
-    const std::size_t len = out.size() - payload;
-    putU32(out, slot, static_cast<std::uint32_t>(len));
-    putU32(out, slot + 4, crc32(out.data() + payload, len));
+    Frame f = frames_.back();
+    frames_.pop_back();
+    const std::size_t len = pos_ - f.start;
+    checkLength(len, "struct payload");
+    if (out_ == nullptr)
+        return;
+    hashPending(f);
+    putLe32(out_ + f.start - 8, static_cast<std::uint32_t>(len));
+    putLe32(out_ + f.start - 4, f.crc);
+    // The record header (tag, length, CRC) is the parent's own
+    // payload: hash it, then append the child's payload by CRC
+    // combination instead of reading it a second time.
+    Frame &parent = frames_.back();
+    parent.crc = crc32Combine(
+        crc32(out_ + parent.hashed, f.start - parent.hashed,
+              parent.crc),
+        f.crc, len);
+    parent.hashed = pos_;
 }
 
 void
-Serializer::u8(std::uint8_t v)
+Serializer::str(std::string_view v)
 {
-    buf().push_back(v);
-}
-
-void
-Serializer::u16(std::uint16_t v)
-{
-    auto &out = buf();
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void
-Serializer::u32(std::uint32_t v)
-{
-    appendU32(buf(), v);
-}
-
-void
-Serializer::u64(std::uint64_t v)
-{
-    appendU64(buf(), v);
-}
-
-void
-Serializer::i64(std::int64_t v)
-{
-    appendU64(buf(), static_cast<std::uint64_t>(v));
-}
-
-void
-Serializer::f64(double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    appendU64(buf(), bits);
-}
-
-void
-Serializer::boolean(bool v)
-{
-    buf().push_back(v ? 1 : 0);
-}
-
-void
-Serializer::str(const std::string &v)
-{
-    auto &out = buf();
-    appendU32(out, static_cast<std::uint32_t>(v.size()));
-    out.insert(out.end(), v.begin(), v.end());
-}
-
-void
-Serializer::bytes(const void *data, std::size_t size)
-{
-    auto &out = buf();
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    out.insert(out.end(), p, p + size);
-}
-
-std::vector<std::uint8_t>
-Serializer::finish() const
-{
-    if (inSection_)
-        throw SnapshotError("snapshot: finish with open section");
-
-    std::vector<std::uint8_t> table;
-    std::uint64_t offset =
-        HeaderBytes + sections_.size() * TableEntryBytes;
-    for (const auto &s : sections_) {
-        std::uint8_t tag[16] = {};
-        std::memcpy(tag, s.tag.data(), s.tag.size());
-        table.insert(table.end(), tag, tag + 16);
-        appendU64(table, offset);
-        appendU64(table, s.data.size());
-        appendU32(table, crc32(s.data.data(), s.data.size()));
-        appendU32(table, 0);
-        offset += s.data.size();
-    }
-
-    std::vector<std::uint8_t> out;
-    out.reserve(offset);
-    appendU32(out, Magic);
-    appendU32(out, FormatVersion);
-    appendU64(out, fingerprint_);
-    appendU32(out, static_cast<std::uint32_t>(sections_.size()));
-    appendU32(out, crc32(table.data(), table.size()));
-    out.insert(out.end(), table.begin(), table.end());
-    for (const auto &s : sections_)
-        out.insert(out.end(), s.data.begin(), s.data.end());
-    return out;
+    checkLength(v.size(), "string");
+    u32(static_cast<std::uint32_t>(v.size()));
+    put(v.data(), v.size());
 }
 
 // --------------------------------------------------------------
@@ -230,18 +214,18 @@ Deserializer::Deserializer(const std::uint8_t *data,
 {
     if (size_ < HeaderBytes)
         throw SnapshotError("snapshot: truncated header");
-    if (readU32(data_) != Magic)
+    if (le32(data_) != Magic)
         throw SnapshotError("snapshot: bad magic (not a dlsim "
                             "snapshot)");
-    const std::uint32_t version = readU32(data_ + 4);
+    const std::uint32_t version = le32(data_ + 4);
     if (version != FormatVersion)
         throw SnapshotError(
             "snapshot: unsupported format version " +
             std::to_string(version) + " (expected " +
             std::to_string(FormatVersion) + ")");
-    fingerprint_ = readU64(data_ + 8);
-    const std::uint32_t count = readU32(data_ + 16);
-    const std::uint32_t tableCrc = readU32(data_ + 20);
+    fingerprint_ = le64(data_ + 8);
+    const std::uint32_t count = le32(data_ + 16);
+    const std::uint32_t tableCrc = le32(data_ + 20);
 
     const std::size_t tableBytes = count * TableEntryBytes;
     if (size_ < HeaderBytes + tableBytes)
@@ -256,9 +240,9 @@ Deserializer::Deserializer(const std::uint8_t *data,
         Section s;
         const char *tag = reinterpret_cast<const char *>(e);
         s.tag.assign(tag, strnlen(tag, 16));
-        s.offset = readU64(e + 16);
-        s.size = readU64(e + 24);
-        s.crc = readU32(e + 32);
+        s.offset = le64(e + 16);
+        s.size = le64(e + 24);
+        s.crc = le32(e + 32);
         if (s.offset > size_ || s.size > size_ - s.offset)
             throw SnapshotError("snapshot: section '" + s.tag +
                                 "' out of bounds");
@@ -376,6 +360,19 @@ Deserializer::take(std::size_t n)
     return p;
 }
 
+void
+Deserializer::checkCount(std::uint64_t n,
+                         std::size_t min_record_bytes) const
+{
+    assert(min_record_bytes > 0);
+    const std::size_t left = limit() - cursor_;
+    if (n > left / min_record_bytes)
+        fail("count " + std::to_string(n) + " of " +
+             std::to_string(min_record_bytes) +
+             "-byte records exceeds the " + std::to_string(left) +
+             " bytes left");
+}
+
 std::uint8_t
 Deserializer::u8()
 {
@@ -385,21 +382,19 @@ Deserializer::u8()
 std::uint16_t
 Deserializer::u16()
 {
-    const std::uint8_t *p = take(2);
-    return static_cast<std::uint16_t>(
-        p[0] | (static_cast<std::uint16_t>(p[1]) << 8));
+    return le16(take(2));
 }
 
 std::uint32_t
 Deserializer::u32()
 {
-    return readU32(take(4));
+    return le32(take(4));
 }
 
 std::uint64_t
 Deserializer::u64()
 {
-    return readU64(take(8));
+    return le64(take(8));
 }
 
 std::int64_t
@@ -437,7 +432,9 @@ Deserializer::str()
 void
 Deserializer::bytes(void *out, std::size_t size)
 {
-    std::memcpy(out, take(size), size);
+    const std::uint8_t *p = take(size);
+    if (size != 0) // an empty container's data() may be null
+        std::memcpy(out, p, size);
 }
 
 void

@@ -9,8 +9,9 @@
  *
  * writing their fields inside one or more struct records
  * (beginStruct/endStruct). Top-level composers group structures into
- * named sections; the Deserializer locates sections by tag, so the
- * file's section order is not part of the contract.
+ * named sections and run through serialize(); the Deserializer
+ * locates sections by tag, so the file's section order is not part
+ * of the contract.
  *
  * Everything is little-endian. All readers bounds-check against the
  * enclosing struct/section and throw SnapshotError on any
@@ -22,9 +23,15 @@
 #ifndef DLSIM_SNAPSHOT_SERIALIZER_HH
 #define DLSIM_SNAPSHOT_SERIALIZER_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <iterator>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "snapshot/format.hh"
@@ -32,33 +39,94 @@
 namespace dlsim::snapshot
 {
 
-/** @name Little-endian readers for Deserializer::raw() views @{ */
+// The format is little-endian and every field is stored and loaded
+// with one memcpy; a big-endian host would need byte swaps here.
+static_assert(std::endian::native == std::endian::little,
+              "dlsim snapshots assume a little-endian host");
+
+/** @name Little-endian loads and stores for bulk records @{ */
 inline std::uint16_t
 le16(const std::uint8_t *p)
 {
-    return static_cast<std::uint16_t>(p[0] |
-                                      (std::uint16_t{p[1]} << 8));
+    std::uint16_t v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+inline std::uint32_t
+le32(const std::uint8_t *p)
+{
+    std::uint32_t v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
 }
 
 inline std::uint64_t
 le64(const std::uint8_t *p)
 {
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | p[i];
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof v);
     return v;
+}
+
+inline void
+putLe16(std::uint8_t *p, std::uint16_t v)
+{
+    std::memcpy(p, &v, sizeof v);
+}
+
+inline void
+putLe32(std::uint8_t *p, std::uint32_t v)
+{
+    std::memcpy(p, &v, sizeof v);
+}
+
+inline void
+putLe64(std::uint8_t *p, std::uint64_t v)
+{
+    std::memcpy(p, &v, sizeof v);
 }
 /** @} */
 
-/** Builds a snapshot byte stream section by section. */
+class Serializer;
+
+/** A snapshot composer: writes sections through a Serializer. */
+using SaveFn = std::function<void(Serializer &)>;
+
+/**
+ * Serialize a snapshot: run `save` once to size the file, allocate
+ * it once, and run `save` again to write every field at its final
+ * offset. Each byte is written once and checksummed once.
+ *
+ * @throws SnapshotError on a malformed composition (bad or
+ *         duplicate tag, unbalanced sections/structs, a length the
+ *         format cannot store) — raised by the sizing pass, before
+ *         anything is allocated.
+ */
+std::vector<std::uint8_t> serialize(std::uint64_t fingerprint,
+                                    const SaveFn &save);
+
+/**
+ * Run only serialize()'s sizing pass: the exact byte size it would
+ * produce, or the SnapshotError it would raise before allocating.
+ */
+std::size_t serializedSize(const SaveFn &save);
+
+/**
+ * Writes one snapshot; only serialize() makes one. It drives a
+ * composer through two passes over the same Serializer — a sizing
+ * pass that only counts bytes, then a write pass into the exactly
+ * sized buffer — so both passes must emit the same stream. That is
+ * why every save() is const: a composer is a pure function of the
+ * state it saves.
+ *
+ * Struct and section CRCs are computed as the write pass goes: each
+ * byte is hashed once, into its innermost open struct, and a closed
+ * struct's CRC is folded into its parent's with crc32Combine().
+ */
 class Serializer
 {
   public:
-    explicit Serializer(std::uint64_t fingerprint = 0)
-        : fingerprint_(fingerprint)
-    {
-    }
-
     /** Open a top-level section; tags must be unique per file. */
     void beginSection(const std::string &tag);
     void endSection();
@@ -67,34 +135,110 @@ class Serializer
     void beginStruct(const std::string &tag);
     void endStruct();
 
-    void u8(std::uint8_t v);
-    void u16(std::uint16_t v);
-    void u32(std::uint32_t v);
-    void u64(std::uint64_t v);
-    void i64(std::int64_t v);
-    void f64(double v);
-    void boolean(bool v);
-    void str(const std::string &v);
-    void bytes(const void *data, std::size_t size);
+    void u8(std::uint8_t v) { put(&v, sizeof v); }
+    void u16(std::uint16_t v) { put(&v, sizeof v); }
+    void u32(std::uint32_t v) { put(&v, sizeof v); }
+    void u64(std::uint64_t v) { put(&v, sizeof v); }
+    void i64(std::int64_t v) { put(&v, sizeof v); }
+    void f64(double v) { put(&v, sizeof v); }
+    void boolean(bool v) { u8(v ? 1 : 0); }
+    void str(std::string_view v);
+    void bytes(const void *data, std::size_t size) { put(data, size); }
 
-    /** Assemble header + section table + payloads. */
-    std::vector<std::uint8_t> finish() const;
+    /**
+     * Bulk fixed-layout records, the write side of
+     * Deserializer::raw(): `items.size() * wire_bytes` payload
+     * bytes, filled by `pack(p, item)` with `p` at each item's
+     * record. The sizing pass only counts them, so `pack` runs only
+     * while writing.
+     */
+    template <typename Range, typename Pack>
+    void
+    records(const Range &items, std::size_t wire_bytes, Pack &&pack)
+    {
+        std::uint8_t *p = reserve(std::size(items) * wire_bytes);
+        if (p == nullptr)
+            return;
+        for (const auto &item : items) {
+            pack(p, item);
+            p += wire_bytes;
+        }
+    }
 
   private:
+    friend std::vector<std::uint8_t> serialize(std::uint64_t,
+                                               const SaveFn &);
+    friend std::size_t serializedSize(const SaveFn &);
+
     struct Section
     {
         std::string tag;
-        std::vector<std::uint8_t> data;
+        std::size_t size = 0;
     };
 
-    std::vector<std::uint8_t> &buf();
+    /** An open section (frames_[0]) or struct: where its payload
+     *  starts and the CRC of its payload bytes before `hashed`. */
+    struct Frame
+    {
+        std::size_t start = 0;
+        std::size_t hashed = 0;
+        std::uint32_t crc = 0;
+    };
 
-    std::uint64_t fingerprint_;
-    std::vector<Section> sections_;
+    Serializer() = default;
+
+    /** Sizing pass: record every section's size; return the file
+     *  size. */
+    std::size_t plan(const SaveFn &save);
+
+    /** Write pass into `out`, plan()'s exact size. */
+    void write(std::uint8_t *out, std::uint64_t fingerprint,
+               const SaveFn &save);
+
+    /** Claim the next `n` bytes of the open section: their final
+     *  address while writing, nullptr while sizing. */
+    std::uint8_t *
+    reserve(std::size_t n)
+    {
+        if (!inSection_)
+            outsideSection();
+        const std::size_t at = pos_;
+        pos_ += n;
+        if (out_ == nullptr)
+            return nullptr;
+        if (pos_ > sectionEnd_)
+            diverged();
+        return out_ + at;
+    }
+
+    void
+    put(const void *data, std::size_t n)
+    {
+        std::uint8_t *p = reserve(n);
+        // memcpy's pointers must be valid even for n == 0, and an
+        // empty container's data() may be null.
+        if (p != nullptr && n != 0)
+            std::memcpy(p, data, n);
+    }
+
+    /** Fold the open frame's bytes in [hashed, pos_) into its CRC. */
+    void hashPending(Frame &f) const;
+
+    [[noreturn]] static void outsideSection();
+    [[noreturn]] static void diverged();
+
+    /** Write pass only: the output buffer; nullptr while sizing. */
+    std::uint8_t *out_ = nullptr;
+    /** Write offset: file-absolute while writing, section-relative
+     *  while sizing. */
+    std::size_t pos_ = 0;
+    std::size_t sectionEnd_ = 0;
     bool inSection_ = false;
-    /** Offsets (into the open section) of unpatched struct
-     *  length/CRC slots, innermost last. */
-    std::vector<std::size_t> structStack_;
+    /** Sections in file order, sized by plan(). */
+    std::vector<Section> sections_;
+    /** Write pass: index of the next section to open. */
+    std::size_t nextSection_ = 0;
+    std::vector<Frame> frames_;
 };
 
 /** Reads and validates a snapshot byte stream. */
@@ -154,6 +298,24 @@ class Deserializer
      */
     const std::uint8_t *raw(std::size_t n) { return take(n); }
 
+    /**
+     * Read an element count — a u32, or a u64 with Count =
+     * std::uint64_t — and require `count * min_record_bytes` to fit
+     * in the bytes left in the enclosing struct, so a corrupt or
+     * hostile count fails here instead of sizing a container.
+     */
+    template <typename Count = std::uint32_t>
+    std::size_t
+    count(std::size_t min_record_bytes)
+    {
+        static_assert(std::is_same_v<Count, std::uint32_t> ||
+                      std::is_same_v<Count, std::uint64_t>);
+        const std::uint64_t n =
+            sizeof(Count) == 8 ? u64() : std::uint64_t{u32()};
+        checkCount(n, min_record_bytes);
+        return static_cast<std::size_t>(n);
+    }
+
     /** Read a u32 and require it to equal `expected`. */
     void checkU32(std::uint32_t expected, const std::string &what);
 
@@ -176,6 +338,8 @@ class Deserializer
 
     const std::uint8_t *take(std::size_t n);
     std::size_t limit() const;
+    void checkCount(std::uint64_t n,
+                    std::size_t min_record_bytes) const;
 
     const std::uint8_t *data_;
     std::size_t size_;

@@ -133,7 +133,7 @@ void
 SampleSet::load(snapshot::Deserializer &d)
 {
     d.enterStruct("samples");
-    samples_.resize(d.u64());
+    samples_.resize(d.count<std::uint64_t>(sizeof(double)));
     d.bytes(samples_.data(), samples_.size() * sizeof(double));
     d.leaveStruct();
     sorted_ = false;

@@ -465,10 +465,9 @@ Workbench::reconfigure(const MachineConfig &mc)
 std::vector<std::uint8_t>
 snapshotWorkbench(const Workbench &wb)
 {
-    snapshot::Serializer s(
-        configFingerprint(wb.params(), wb.machine()));
-    wb.save(s);
-    return s.finish();
+    return snapshot::serialize(
+        configFingerprint(wb.params(), wb.machine()),
+        [&wb](snapshot::Serializer &s) { wb.save(s); });
 }
 
 void

@@ -136,11 +136,12 @@ TEST(CodeIndex, SnapshotRestoreNeverServesPreRestoreSlots)
     const auto original_op = before->inst.op;
     ASSERT_NE(image->decode(g), nullptr);
 
-    snapshot::Serializer s;
-    s.beginSection("image");
-    image->save(s);
-    s.endSection();
-    const auto bytes = s.finish();
+    const auto bytes =
+        snapshot::serialize(0, [&](snapshot::Serializer &s) {
+            s.beginSection("image");
+            image->save(s);
+            s.endSection();
+        });
 
     // Mutate past the checkpoint: patch f's first instruction and
     // unload the library.

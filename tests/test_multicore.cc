@@ -380,11 +380,12 @@ TEST(MultiCore, CallThreadCheckpointKeepsResults)
     ASSERT_EQ(thread->results(),
               (std::vector<std::uint64_t>{105, 106}));
 
-    snapshot::Serializer s;
-    s.beginSection("t");
-    thread->save(s);
-    s.endSection();
-    const auto bytes = s.finish();
+    const auto bytes =
+        snapshot::serialize(0, [&](snapshot::Serializer &s) {
+            s.beginSection("t");
+            thread->save(s);
+            s.endSection();
+        });
     os::CallThread copy({});
     snapshot::Deserializer d(bytes.data(), bytes.size());
     d.enterSection("t");

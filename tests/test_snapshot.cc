@@ -10,19 +10,29 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <random>
+#include <string_view>
 
 #include "branch/btb.hh"
 #include "common.hh"
+#include "core/skip_unit.hh"
 #include "linker/loader.hh"
 #include "mem/address_space.hh"
 #include "mem/cache.hh"
 #include "mem/tlb.hh"
+#include "os/pipe.hh"
+#include "os/sched.hh"
+#include "os/socket.hh"
+#include "sim/multicore.hh"
 #include "sim/system.hh"
 #include "sim_fixture.hh"
 #include "snapshot/format.hh"
 #include "snapshot/io.hh"
 #include "snapshot/serializer.hh"
+#include "stats/cdf.hh"
 #include "stats/rng.hh"
 #include "workload/engine.hh"
 #include "workload/profiles.hh"
@@ -123,13 +133,13 @@ TEST(SnapshotFormat, GoldenHeaderLayout)
     EXPECT_EQ(HeaderBytes, 24u);
     EXPECT_EQ(TableEntryBytes, 40u);
 
-    Serializer s(0x1122334455667788ull);
-    s.beginSection("alpha");
-    s.beginStruct("x");
-    s.u32(0xdeadbeefu);
-    s.endStruct();
-    s.endSection();
-    const auto b = s.finish();
+    const auto b = serialize(0x1122334455667788ull, [&](Serializer &s) {
+        s.beginSection("alpha");
+        s.beginStruct("x");
+        s.u32(0xdeadbeefu);
+        s.endStruct();
+        s.endSection();
+    });
 
     ASSERT_GE(b.size(), HeaderBytes + TableEntryBytes);
     // "DLSN" as raw bytes.
@@ -149,6 +159,20 @@ TEST(SnapshotFormat, GoldenHeaderLayout)
     // Payload offset points past header + table.
     EXPECT_EQ(readLe64(b, HeaderBytes + 16),
               HeaderBytes + TableEntryBytes);
+    // Section payload: one 14-byte struct record.
+    EXPECT_EQ(readLe64(b, HeaderBytes + 24), 14u);
+    // Section CRC: CRC-32 of the whole record, header included.
+    EXPECT_EQ(readLe32(b, HeaderBytes + 32), 0x3d3378f4u);
+    EXPECT_EQ(readLe32(b, HeaderBytes + 36), 0u); // reserved
+    // Struct record: u8 tag length, tag, u32 payload length, u32
+    // payload CRC, payload.
+    const std::size_t rec = HeaderBytes + TableEntryBytes;
+    EXPECT_EQ(b[rec], 1);
+    EXPECT_EQ(b[rec + 1], 'x');
+    EXPECT_EQ(readLe32(b, rec + 2), 4u);
+    EXPECT_EQ(readLe32(b, rec + 6), 0x1a5a601fu); // CRC of ef be ad de
+    EXPECT_EQ(readLe32(b, rec + 10), 0xdeadbeefu);
+    EXPECT_EQ(b.size(), rec + 14);
 
     Deserializer d(b.data(), b.size());
     EXPECT_EQ(d.fingerprint(), 0x1122334455667788ull);
@@ -163,23 +187,23 @@ TEST(SnapshotFormat, GoldenHeaderLayout)
 
 TEST(SnapshotFormat, PrimitiveRoundTrip)
 {
-    Serializer s;
-    s.beginSection("p");
-    s.beginStruct("all");
-    s.u8(0xab);
-    s.u16(0xcdef);
-    s.u32(0x12345678u);
-    s.u64(0xfedcba9876543210ull);
-    s.i64(-42);
-    s.f64(3.25);
-    s.boolean(true);
-    s.boolean(false);
-    s.str("hello snapshot");
-    const std::uint8_t raw[3] = {1, 2, 3};
-    s.bytes(raw, sizeof raw);
-    s.endStruct();
-    s.endSection();
-    const auto b = s.finish();
+    const auto b = serialize(0, [&](Serializer &s) {
+        s.beginSection("p");
+        s.beginStruct("all");
+        s.u8(0xab);
+        s.u16(0xcdef);
+        s.u32(0x12345678u);
+        s.u64(0xfedcba9876543210ull);
+        s.i64(-42);
+        s.f64(3.25);
+        s.boolean(true);
+        s.boolean(false);
+        s.str("hello snapshot");
+        const std::uint8_t raw[3] = {1, 2, 3};
+        s.bytes(raw, sizeof raw);
+        s.endStruct();
+        s.endSection();
+    });
 
     Deserializer d(b.data(), b.size());
     d.enterSection("p");
@@ -203,13 +227,13 @@ TEST(SnapshotFormat, PrimitiveRoundTrip)
 
 TEST(SnapshotFormat, RejectsBadMagicAndVersion)
 {
-    Serializer s;
-    s.beginSection("a");
-    s.beginStruct("x");
-    s.u32(1);
-    s.endStruct();
-    s.endSection();
-    auto good = s.finish();
+    auto good = serialize(0, [&](Serializer &s) {
+        s.beginSection("a");
+        s.beginStruct("x");
+        s.u32(1);
+        s.endStruct();
+        s.endSection();
+    });
 
     auto bad = good;
     bad[0] ^= 0xff;
@@ -224,14 +248,14 @@ TEST(SnapshotFormat, RejectsBadMagicAndVersion)
 
 TEST(SnapshotFormat, DetectsBitFlipAnywhere)
 {
-    Serializer s;
-    s.beginSection("a");
-    s.beginStruct("x");
-    for (std::uint32_t i = 0; i < 64; ++i)
-        s.u32(i * 2654435761u);
-    s.endStruct();
-    s.endSection();
-    const auto good = s.finish();
+    const auto good = serialize(0, [&](Serializer &s) {
+        s.beginSection("a");
+        s.beginStruct("x");
+        for (std::uint32_t i = 0; i < 64; ++i)
+            s.u32(i * 2654435761u);
+        s.endStruct();
+        s.endSection();
+    });
 
     // Flip one bit in every byte position in turn; every flip must
     // be caught by header validation, the table CRC, the section
@@ -264,13 +288,13 @@ TEST(SnapshotFormat, DetectsBitFlipAnywhere)
 
 TEST(SnapshotFormat, RejectsTruncation)
 {
-    Serializer s;
-    s.beginSection("a");
-    s.beginStruct("x");
-    s.u64(7);
-    s.endStruct();
-    s.endSection();
-    const auto good = s.finish();
+    const auto good = serialize(0, [&](Serializer &s) {
+        s.beginSection("a");
+        s.beginStruct("x");
+        s.u64(7);
+        s.endStruct();
+        s.endSection();
+    });
 
     for (const std::size_t keep :
          {std::size_t{0}, std::size_t{8}, HeaderBytes,
@@ -296,17 +320,235 @@ TEST(SnapshotFormat, RejectsTruncation)
 TEST(SnapshotFormat, FileRoundTrip)
 {
     const auto path = tmpPath("file");
-    Serializer s(99);
-    s.beginSection("a");
-    s.beginStruct("x");
-    s.u32(123);
-    s.endStruct();
-    s.endSection();
-    const auto bytes = s.finish();
+    const auto bytes = serialize(99, [&](Serializer &s) {
+        s.beginSection("a");
+        s.beginStruct("x");
+        s.u32(123);
+        s.endStruct();
+        s.endSection();
+    });
     writeFile(path, bytes);
     EXPECT_EQ(readFile(path), bytes);
     std::remove(path.c_str());
     EXPECT_THROW(readFile(path), SnapshotError);
+}
+
+/** crc32Combine(crc(A), crc(B), |B|) == crc(A‖B) for any split. */
+TEST(SnapshotFormat, CrcCombineMatchesConcatenation)
+{
+    std::mt19937_64 rng(17);
+    std::vector<std::uint8_t> buf(70000);
+    for (auto &byte : buf)
+        byte = static_cast<std::uint8_t>(rng());
+    const auto crcOf = [&](std::size_t at, std::size_t n) {
+        return crc32(buf.data() + at, n);
+    };
+    for (int trial = 0; trial < 400; ++trial) {
+        const std::size_t total = rng() % buf.size();
+        // Every fourth trial puts an empty part on one side.
+        std::size_t split = rng() % (total + 1);
+        if (trial % 4 == 1)
+            split = 0;
+        if (trial % 4 == 2)
+            split = total;
+        EXPECT_EQ(crc32Combine(crcOf(0, split),
+                               crcOf(split, total - split),
+                               total - split),
+                  crcOf(0, total))
+            << "total " << total << " split " << split;
+        // Continuing a CRC is the streaming form of the same law.
+        EXPECT_EQ(crc32(buf.data() + split, total - split,
+                        crcOf(0, split)),
+                  crcOf(0, total));
+    }
+    EXPECT_EQ(crc32Combine(0, 0, 0), 0u);
+}
+
+namespace
+{
+
+/** A random struct tree: payload runs interleaved with children. */
+struct RandomStruct
+{
+    std::string tag;
+    /** Direct payload runs; run i precedes child i. The last run
+     *  follows the last child. */
+    std::vector<std::vector<std::uint8_t>> runs;
+    std::vector<RandomStruct> children;
+    /** Write runs[0] as 11-byte bulk records, not raw bytes. */
+    bool bulk = false;
+};
+
+RandomStruct
+randomStruct(std::mt19937_64 &rng, int depth, std::size_t &budget)
+{
+    RandomStruct st;
+    st.tag = "s" + std::to_string(rng() % 1000);
+    st.bulk = rng() % 2 == 0;
+    const std::size_t nchildren = depth < 3 ? rng() % 4 : 0;
+    for (std::size_t i = 0; i <= nchildren; ++i) {
+        std::size_t n = 0;
+        switch (rng() % 4) {
+          case 0: n = 0; break;
+          case 1: n = rng() % 16; break;
+          case 2: n = rng() % 512; break;
+          default: n = rng() % (64 * 1024 + 1); break;
+        }
+        n = std::min(n, budget);
+        budget -= n;
+        if (i == 0 && st.bulk)
+            n -= n % 11;
+        std::vector<std::uint8_t> run(n);
+        for (auto &byte : run)
+            byte = static_cast<std::uint8_t>(rng());
+        st.runs.push_back(std::move(run));
+        if (i < nchildren)
+            st.children.push_back(randomStruct(rng, depth + 1, budget));
+    }
+    return st;
+}
+
+void
+writeRandom(Serializer &s, const RandomStruct &st)
+{
+    s.beginStruct(st.tag);
+    for (std::size_t i = 0; i < st.runs.size(); ++i) {
+        const auto &run = st.runs[i];
+        if (i == 0 && st.bulk) {
+            // 11-byte records packed through records(): u64 + u16 +
+            // u8, the shape of the cache/TLB wire records.
+            std::vector<std::size_t> idx(run.size() / 11);
+            for (std::size_t k = 0; k < idx.size(); ++k)
+                idx[k] = k * 11;
+            s.records(idx, 11, [&run](std::uint8_t *p, std::size_t at) {
+                putLe64(p, le64(run.data() + at));
+                putLe16(p + 8, le16(run.data() + at + 8));
+                p[10] = run[at + 10];
+            });
+        } else {
+            s.bytes(run.data(), run.size());
+        }
+        if (i < st.children.size())
+            writeRandom(s, st.children[i]);
+    }
+    s.endStruct();
+}
+
+/** Walk `st`'s record at `pos` in `b`, recomputing its CRC from the
+ *  bytes with crc32(); returns the offset past the record. */
+std::size_t
+checkRandom(const std::vector<std::uint8_t> &b, std::size_t pos,
+            const RandomStruct &st)
+{
+    EXPECT_EQ(b[pos], st.tag.size());
+    EXPECT_EQ(std::string(reinterpret_cast<const char *>(&b[pos + 1]),
+                          st.tag.size()),
+              st.tag);
+    pos += 1 + st.tag.size();
+    const std::uint32_t len = readLe32(b, pos);
+    const std::uint32_t crc = readLe32(b, pos + 4);
+    pos += 8;
+    EXPECT_EQ(crc32(b.data() + pos, len), crc) << "struct " << st.tag;
+    const std::size_t end = pos + len;
+    for (std::size_t i = 0; i < st.runs.size(); ++i) {
+        const auto &run = st.runs[i];
+        EXPECT_TRUE(
+            std::equal(run.begin(), run.end(), b.begin() + pos));
+        pos += run.size();
+        if (i < st.children.size())
+            pos = checkRandom(b, pos, st.children[i]);
+    }
+    EXPECT_EQ(pos, end) << "struct " << st.tag;
+    return end;
+}
+
+} // namespace
+
+/**
+ * Property: the CRCs serialize() derives by combination equal the
+ * ones crc32() computes over the finished bytes, for random sections
+ * of nested structs (depth <= 3, payload runs up to 64 KiB, raw and
+ * bulk-record writes, empty runs included).
+ */
+TEST(SnapshotFormat, CombinedCrcsMatchRecomputation)
+{
+    std::mt19937_64 rng(2024);
+    for (int trial = 0; trial < 12; ++trial) {
+        std::vector<std::vector<RandomStruct>> sections(1 + rng() % 3);
+        std::vector<std::vector<std::uint8_t>> prefixes;
+        std::size_t budget = 1 << 20;
+        for (auto &sec : sections) {
+            // Loose bytes ahead of the first struct are legal too.
+            prefixes.emplace_back(rng() % 8, std::uint8_t{0x5a});
+            const std::size_t n = rng() % 4;
+            for (std::size_t i = 0; i < n; ++i)
+                sec.push_back(randomStruct(rng, 1, budget));
+        }
+        const auto save = [&](Serializer &s) {
+            for (std::size_t i = 0; i < sections.size(); ++i) {
+                s.beginSection("sec" + std::to_string(i));
+                s.bytes(prefixes[i].data(), prefixes[i].size());
+                for (const auto &st : sections[i])
+                    writeRandom(s, st);
+                s.endSection();
+            }
+        };
+        const auto b = serialize(trial, save);
+        ASSERT_EQ(b.size(), serializedSize(save));
+
+        ASSERT_EQ(readLe32(b, 16), sections.size());
+        EXPECT_EQ(crc32(b.data() + HeaderBytes,
+                        sections.size() * TableEntryBytes),
+                  readLe32(b, 20));
+        for (std::size_t i = 0; i < sections.size(); ++i) {
+            const std::size_t e = HeaderBytes + i * TableEntryBytes;
+            const std::size_t off = readLe64(b, e + 16);
+            const std::size_t size = readLe64(b, e + 24);
+            EXPECT_EQ(crc32(b.data() + off, size), readLe32(b, e + 32))
+                << "section " << i;
+            std::size_t pos = off + prefixes[i].size();
+            for (const auto &st : sections[i])
+                pos = checkRandom(b, pos, st);
+            EXPECT_EQ(pos, off + size);
+        }
+        Deserializer d(b.data(), b.size());
+        d.verifyAllSections();
+    }
+}
+
+/** A payload the format cannot frame (u32 lengths) fails in the
+ *  sizing pass, before any buffer exists. */
+TEST(SnapshotFormat, OversizedLengthsFailBeforeAllocation)
+{
+    const std::uint8_t small[1] = {0};
+    // The sizing pass counts these bytes without reading them.
+    const std::size_t huge = std::size_t{1} << 32;
+    EXPECT_THROW(serializedSize([&](Serializer &s) {
+                     s.beginSection("a");
+                     s.beginStruct("x");
+                     s.bytes(small, huge);
+                     s.endStruct();
+                     s.endSection();
+                 }),
+                 SnapshotError);
+    EXPECT_THROW(serializedSize([&](Serializer &s) {
+                     s.beginSection("a");
+                     s.beginStruct("x");
+                     s.str(std::string_view(
+                         reinterpret_cast<const char *>(small), huge));
+                     s.endStruct();
+                     s.endSection();
+                 }),
+                 SnapshotError);
+    // Just under the limit is fine to size (nothing is written).
+    EXPECT_EQ(serializedSize([&](Serializer &s) {
+                  s.beginSection("a");
+                  s.beginStruct("x");
+                  s.bytes(small, huge - 1);
+                  s.endStruct();
+                  s.endSection();
+              }),
+              HeaderBytes + TableEntryBytes + 1 + 1 + 8 + huge - 1);
 }
 
 // --------------------------------------------------------------
@@ -323,11 +565,11 @@ template <typename T>
 std::vector<std::uint8_t>
 saveOne(const T &t)
 {
-    Serializer s;
-    s.beginSection("t");
-    t.save(s);
-    s.endSection();
-    return s.finish();
+    return serialize(0, [&](Serializer &s) {
+        s.beginSection("t");
+        t.save(s);
+        s.endSection();
+    });
 }
 
 template <typename T>
@@ -524,16 +766,16 @@ TEST(SnapshotStructures, AddressSpaceCowTopologySurvives)
     // One COW copy in the child: the first data page diverges.
     ASSERT_EQ(child->write64(0x100000, 1111), MemFault::None);
 
-    Serializer s;
-    PagePoolSaver pool;
-    s.beginSection("spaces");
-    parent.save(s, pool);
-    child->save(s, pool);
-    s.endSection();
-    s.beginSection("pages");
-    pool.save(s);
-    s.endSection();
-    const auto bytes = s.finish();
+    const auto bytes = serialize(0, [&](Serializer &s) {
+        PagePoolSaver pool;
+        s.beginSection("spaces");
+        parent.save(s, pool);
+        child->save(s, pool);
+        s.endSection();
+        s.beginSection("pages");
+        pool.save(s);
+        s.endSection();
+    });
 
     AddressSpace p2, c2;
     {
@@ -674,9 +916,9 @@ TEST(SnapshotSystem, RoundTripPreservesProcessesAndCow)
     simA.call("f"); // child counter -> 2 (private COW copy)
     simA.core->state().regs[9] = 4242;
 
-    Serializer s;
-    sysA.save(s);
-    const auto bytes = s.finish();
+    const auto bytes = serialize(0, [&](Serializer &s) {
+        sysA.save(s);
+    });
     const auto statsA = sysA.memoryStats();
 
     // A freshly built twin system adopts the checkpointed state.
@@ -746,4 +988,218 @@ TEST(SnapshotSweep, ConcurrentRestoresMatchSerialSweep)
     const auto b = render(threaded.run(makeWork()));
     EXPECT_FALSE(a.empty());
     EXPECT_EQ(a, b);
+}
+
+// --------------------------------------------------------------
+// Hostile counts. A snapshot whose CRCs are all valid can still
+// carry an element count far larger than the bytes behind it; every
+// loader must reject it with SnapshotError before sizing a container
+// from it (instead of a multi-GiB resize escaping as bad_alloc).
+// --------------------------------------------------------------
+
+namespace
+{
+
+constexpr std::uint64_t HugeU32 = 0xffffffffu;
+constexpr std::uint64_t HugeU64 = std::uint64_t{1} << 40;
+
+/**
+ * `good` with one field rewritten: `width` bytes at `at` in the
+ * payload of the first struct record of section `section` (negative
+ * `at` counts back from the payload's end). Every section is written
+ * back through serialize(), so all CRCs in the result are valid.
+ */
+std::vector<std::uint8_t>
+withField(const std::vector<std::uint8_t> &good,
+          const std::string &section, std::ptrdiff_t at,
+          std::size_t width, std::uint64_t value)
+{
+    const std::uint32_t nsections = readLe32(good, 16);
+    return serialize(readLe64(good, 8), [&](Serializer &s) {
+        for (std::uint32_t i = 0; i < nsections; ++i) {
+            const std::size_t e = HeaderBytes + i * TableEntryBytes;
+            const char *tag = reinterpret_cast<const char *>(&good[e]);
+            const std::string name(tag, strnlen(tag, 16));
+            const std::size_t off = readLe64(good, e + 16);
+            const std::size_t end = off + readLe64(good, e + 24);
+            s.beginSection(name);
+            if (name != section) {
+                s.bytes(good.data() + off, end - off);
+                s.endSection();
+                continue;
+            }
+            const std::size_t tagLen = good[off];
+            const std::size_t lenAt = off + 1 + tagLen;
+            const std::size_t len = readLe32(good, lenAt);
+            const std::size_t payload = lenAt + 8;
+            std::vector<std::uint8_t> body(
+                good.begin() + payload, good.begin() + payload + len);
+            const std::size_t pos = at >= 0 ? at : len + at;
+            std::memcpy(&body[pos], &value, width);
+            const char *rtag =
+                reinterpret_cast<const char *>(&good[off + 1]);
+            s.beginStruct(std::string(rtag, tagLen));
+            s.bytes(body.data(), body.size());
+            s.endStruct();
+            s.bytes(good.data() + payload + len, end - payload - len);
+            s.endSection();
+        }
+    });
+}
+
+/** `load` must fail at the count check, not later or otherwise. */
+template <typename Load>
+void
+expectCountRejected(Load &&load)
+{
+    try {
+        load();
+        ADD_FAILURE() << "hostile count accepted";
+    } catch (const SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find("-byte records exceeds"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+/** Save `t` alone, plant `value` in its first struct, and expect
+ *  `fresh.load` to reject the result. */
+template <typename T>
+void
+expectHostileRejected(const T &t, T &fresh, std::ptrdiff_t at,
+                      std::size_t width, std::uint64_t value)
+{
+    const auto good = saveOne(t);
+    loadOne(fresh, good); // the unmodified bytes load
+    const auto bad = withField(good, "t", at, width, value);
+    expectCountRejected([&] { loadOne(fresh, bad); });
+}
+
+/** The smallest machine an os::Kernel runs on. */
+struct KernelRig
+{
+    linker::Loader loader;
+    std::unique_ptr<linker::Image> image;
+    std::unique_ptr<linker::DynamicLinker> linker;
+    std::unique_ptr<sim::MultiCoreSystem> system;
+    std::unique_ptr<os::Kernel> kernel;
+
+    KernelRig()
+    {
+        image = loader.load(counterExe(), {lib()});
+        linker = std::make_unique<linker::DynamicLinker>(*image);
+        sim::MultiCoreParams mp;
+        mp.numCores = 2;
+        system = std::make_unique<sim::MultiCoreSystem>(
+            mp, *image, *linker, loader.stackTop());
+        kernel = std::make_unique<os::Kernel>(os::KernelParams{},
+                                              *system, *image, *linker);
+    }
+};
+
+} // namespace
+
+TEST(SnapshotHostile, CallThreadResults)
+{
+    os::CallThread a({}), b({});
+    expectHostileRejected(a, b, 0, 4, HugeU32);
+}
+
+TEST(SnapshotHostile, KernelReadyQueue)
+{
+    KernelRig a, b;
+    // thread/pipe/listener/conn/core counts, now, live threads.
+    expectHostileRejected(*a.kernel, *b.kernel, 32, 4, HugeU32);
+}
+
+TEST(SnapshotHostile, PipeBufferAndWaiters)
+{
+    os::Pipe a(4), b(4);
+    expectHostileRejected(a, b, 0, 8, HugeU64);
+    // size, head, count, closed, two byte counters, 4-byte buffer.
+    expectHostileRejected(a, b, 45, 4, HugeU32); // read waiters
+    expectHostileRejected(a, b, 49, 4, HugeU32); // write waiters
+}
+
+TEST(SnapshotHostile, ListenerQueues)
+{
+    os::Listener a, b;
+    expectHostileRejected(a, b, 8, 4, HugeU32);  // backlog
+    expectHostileRejected(a, b, 12, 4, HugeU32); // accept waiters
+    expectHostileRejected(a, b, 16, 4, HugeU32); // connect waiters
+}
+
+TEST(SnapshotHostile, SampleSet)
+{
+    stats::SampleSet a, b;
+    expectHostileRejected(a, b, 0, 8, HugeU64);
+}
+
+TEST(SnapshotHostile, CoreProfiles)
+{
+    Sim a(counterExe(), {lib()});
+    Sim b(counterExe(), {lib()});
+    // A fresh core's "cpu" struct ends with three empty profile
+    // counts, then bool, u64, bool, bool (11 bytes).
+    expectHostileRejected(*a.core, *b.core, -35, 8, HugeU64);
+    expectHostileRejected(*a.core, *b.core, -27, 8, HugeU64);
+    expectHostileRejected(*a.core, *b.core, -19, 8, HugeU64);
+}
+
+TEST(SnapshotHostile, SkipUnitBloomShadow)
+{
+    core::TrampolineSkipUnit a, b;
+    // The "skip" struct ends with the (empty) shadow-set count.
+    expectHostileRejected(a, b, -8, 8, HugeU64);
+}
+
+TEST(SnapshotHostile, AddressSpaceAndPagePool)
+{
+    mem::AddressSpace a;
+    a.map(0x10000, 2 * mem::PageBytes, mem::PermRead | mem::PermWrite,
+          mem::RegionKind::Data, "d");
+    a.poke64(0x10000, 7);
+    std::vector<std::uint8_t> good = serialize(0, [&](Serializer &s) {
+        mem::PagePoolSaver pool;
+        s.beginSection("t");
+        a.save(s, pool);
+        s.endSection();
+        s.beginSection("pages");
+        pool.save(s);
+        s.endSection();
+    });
+    const auto load = [](const std::vector<std::uint8_t> &bytes) {
+        Deserializer d(bytes.data(), bytes.size());
+        mem::PagePoolLoader pool;
+        d.enterSection("pages");
+        pool.load(d);
+        d.leaveSection();
+        mem::AddressSpace b;
+        d.enterSection("t");
+        b.load(d, pool);
+        d.leaveSection();
+    };
+    load(good);
+    expectCountRejected(
+        [&] { load(withField(good, "t", 0, 4, HugeU32)); }); // regions
+    // The "aspace" struct ends with the u64 page count and one
+    // 13-byte page record.
+    expectCountRejected(
+        [&] { load(withField(good, "t", -(8 + 13), 8, HugeU64)); });
+    expectCountRejected(
+        [&] { load(withField(good, "pages", 0, 4, HugeU32)); });
+}
+
+TEST(SnapshotHostile, SystemProcessCount)
+{
+    Sim simA(counterExe(), {lib()});
+    sim::System sysA(*simA.core, *simA.image, *simA.linker);
+    const auto good =
+        serialize(0, [&](Serializer &s) { sysA.save(s); });
+    Sim simB(counterExe(), {lib()});
+    sim::System sysB(*simB.core, *simB.image, *simB.linker);
+    // "sys": u16 next asid, then the u32 process count.
+    const auto bad = withField(good, "system", 2, 4, HugeU32);
+    Deserializer d(bad.data(), bad.size());
+    EXPECT_THROW(sysB.load(d), SnapshotError);
 }
