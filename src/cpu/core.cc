@@ -54,6 +54,7 @@ Core::attachProcess(linker::Image *image,
     linker_ = linker;
     asid_ = asid;
     curSlot_ = nullptr;
+    image_->setFetchLineShift(fetchLineShift_);
     if (skipUnit_)
         skipUnit_->setAsid(asid);
 }
@@ -177,28 +178,6 @@ Core::condTaken(isa::CondKind cond, std::uint64_t value)
     return false;
 }
 
-DLSIM_HOT_INLINE std::uint64_t
-Core::aluEval(isa::AluKind kind, std::uint64_t a, std::uint64_t b)
-{
-    switch (kind) {
-      case isa::AluKind::Add:
-        return a + b;
-      case isa::AluKind::Sub:
-        return a - b;
-      case isa::AluKind::And:
-        return a & b;
-      case isa::AluKind::Or:
-        return a | b;
-      case isa::AluKind::Xor:
-        return a ^ b;
-      case isa::AluKind::Mul:
-        return a * b;
-      case isa::AluKind::Shr:
-        return a >> (b & 63);
-    }
-    return 0;
-}
-
 void
 Core::serviceResolver()
 {
@@ -312,71 +291,109 @@ Core::frontEnd(Addr pc, std::uint8_t flags, bool repeat_line)
 }
 
 DLSIM_HOT_INLINE Core::BodyEffect
-Core::execBodyOp(const isa::Instruction &inst, Addr pc)
+Core::execBodyOp(const isa::Instruction &inst, linker::Handler handler,
+                 Addr pc)
 {
+    using linker::Handler;
     // First-touch fault of demand-paged text. Pure latency, so it
     // commutes with the caller's fetch and with the unobserved
     // block loop's batched bookkeeping.
     if (params_.demandPaging)
         demandTouchFetch(pc);
     auto &regs = state_.regs;
-    const auto effAddr = [&]() -> Addr {
-        return inst.memBase == isa::NoReg
-                   ? static_cast<Addr>(inst.imm)
-                   : regs[inst.memBase] +
-                         static_cast<Addr>(inst.imm);
-    };
+    const auto imm = static_cast<std::uint64_t>(inst.imm);
 
     BodyEffect eff;
     // Memory ops set state_.pc first so a fault's diagnostic names
     // the faulting op (the unobserved block loop leaves it stale).
-    switch (inst.op) {
-      case isa::Opcode::Nop:
+    switch (handler) {
+      case Handler::Nop:
         break;
-      case isa::Opcode::IntAlu: {
-        const std::uint64_t b = inst.src2 == isa::NoReg
-                                    ? static_cast<std::uint64_t>(
-                                          inst.imm)
-                                    : regs[inst.src2];
-        regs[inst.dst] = aluEval(inst.alu, regs[inst.src1], b);
+      case Handler::AddRR:
+        regs[inst.dst] = regs[inst.src1] + regs[inst.src2];
         break;
-      }
-      case isa::Opcode::MovImm:
-        regs[inst.dst] = static_cast<std::uint64_t>(inst.imm);
+      case Handler::AddRI:
+        regs[inst.dst] = regs[inst.src1] + imm;
         break;
-      case isa::Opcode::Load:
+      case Handler::SubRR:
+        regs[inst.dst] = regs[inst.src1] - regs[inst.src2];
+        break;
+      case Handler::SubRI:
+        regs[inst.dst] = regs[inst.src1] - imm;
+        break;
+      case Handler::AndRR:
+        regs[inst.dst] = regs[inst.src1] & regs[inst.src2];
+        break;
+      case Handler::AndRI:
+        regs[inst.dst] = regs[inst.src1] & imm;
+        break;
+      case Handler::OrRR:
+        regs[inst.dst] = regs[inst.src1] | regs[inst.src2];
+        break;
+      case Handler::OrRI:
+        regs[inst.dst] = regs[inst.src1] | imm;
+        break;
+      case Handler::XorRR:
+        regs[inst.dst] = regs[inst.src1] ^ regs[inst.src2];
+        break;
+      case Handler::XorRI:
+        regs[inst.dst] = regs[inst.src1] ^ imm;
+        break;
+      case Handler::MulRR:
+        regs[inst.dst] = regs[inst.src1] * regs[inst.src2];
+        break;
+      case Handler::MulRI:
+        regs[inst.dst] = regs[inst.src1] * imm;
+        break;
+      case Handler::ShrRR:
+        regs[inst.dst] = regs[inst.src1] >> (regs[inst.src2] & 63);
+        break;
+      case Handler::ShrRI:
+        regs[inst.dst] = regs[inst.src1] >> (imm & 63);
+        break;
+      case Handler::MovImm:
+        regs[inst.dst] = imm;
+        break;
+      case Handler::LoadBase:
         state_.pc = pc;
-        regs[inst.dst] = readData(effAddr());
+        regs[inst.dst] = readData(regs[inst.memBase] + imm);
         break;
-      case isa::Opcode::Store:
+      case Handler::LoadAbs:
         state_.pc = pc;
-        eff = {true, effAddr(), regs[inst.src1]};
+        regs[inst.dst] = readData(imm);
         break;
-      case isa::Opcode::Push:
+      case Handler::StoreBase:
+        state_.pc = pc;
+        eff = {true, regs[inst.memBase] + imm, regs[inst.src1]};
+        break;
+      case Handler::StoreAbs:
+        state_.pc = pc;
+        eff = {true, imm, regs[inst.src1]};
+        break;
+      case Handler::Push:
         state_.pc = pc;
         regs[isa::RegSp] -= 8;
         eff = {true, regs[isa::RegSp], regs[inst.src1]};
         break;
-      case isa::Opcode::PushImm:
+      case Handler::PushImm:
         state_.pc = pc;
         regs[isa::RegSp] -= 8;
-        eff = {true, regs[isa::RegSp],
-               static_cast<std::uint64_t>(inst.imm)};
+        eff = {true, regs[isa::RegSp], imm};
         break;
-      case isa::Opcode::Pop:
+      case Handler::Pop:
         state_.pc = pc;
         regs[inst.dst] = readData(regs[isa::RegSp]);
         regs[isa::RegSp] += 8;
         break;
-      case isa::Opcode::Halt:
-        state_.halted = true;
-        break;
-      case isa::Opcode::AbtbFlush:
+      case Handler::AbtbFlush:
         if (skipUnit_)
             skipUnit_->explicitFlush();
         break;
-      default:
-        // Control transfers: stepT executes those itself.
+      case Handler::Halt:
+        state_.halted = true;
+        break;
+      case Handler::Control:
+        // Control transfers: controlT executes those.
         break;
     }
 
@@ -408,16 +425,17 @@ Core::traceRetire(Addr pc, const BodyEffect &eff,
     traceWriter_->append(ev);
 }
 
-// Out of line on purpose: stepT retires every block terminator, so
-// it is kept small; the non-control ops it hands over here are hot
-// only with block dispatch off.
+// Out of line on purpose: the block loops inline execBodyOp
+// instead, so this per-op path is hot only with block dispatch off
+// or an observer attached, and stepT stays small.
 template <bool Observed>
 DLSIM_NOINLINE void
-Core::retireBodyOp(const isa::Instruction &inst, Addr pc,
+Core::retireBodyOp(const isa::Instruction &inst,
+                   linker::Handler handler, Addr pc,
                    std::uint8_t flags, bool repeat_line)
 {
     frontEnd(pc, flags, repeat_line);
-    const BodyEffect eff = execBodyOp(inst, pc);
+    const BodyEffect eff = execBodyOp(inst, handler, pc);
     state_.pc = pc + inst.size;
 
     if (traceWriter_) {
@@ -459,28 +477,31 @@ Core::stepT()
         throw SimError("undecodable pc " + hexAddr(state_.pc));
 
     const linker::Slot &slot = *curSlot_;
-    const isa::Instruction &inst = slot.inst;
-    const Addr pc = state_.pc;
-    const Addr fallthrough = pc + inst.size;
-
-    // The block dispatcher may have proven this fetch repeats the
-    // line of the immediately preceding one (see the terminator
-    // hand-off in runBlockLoopT).
-    const bool repeat_line = fetchRepeatHint_;
-    fetchRepeatHint_ = false;
-
-    if (!isa::isControl(inst.op)) {
-        retireBodyOp<Observed>(inst, pc, slot.flags, repeat_line);
+    const linker::Handler handler = linker::handlerOf(slot.inst);
+    if (handler != linker::Handler::Control) {
+        retireBodyOp<Observed>(slot.inst, handler, state_.pc,
+                               slot.flags, false);
         curSlot_ = image_->nextSlot(curSlot_);
         return;
     }
+    if (controlT<Observed>(slot.inst, state_.pc, slot.flags, false))
+        curSlot_ = nullptr;
+    else
+        curSlot_ = image_->nextSlot(curSlot_);
+}
 
-    // A control transfer from here on. Demand-paged library text:
-    // the first fetch of a page takes a first-touch fault (charged
-    // as pure latency).
+template <bool Observed>
+bool
+Core::controlT(const isa::Instruction &inst, Addr pc,
+               std::uint8_t flags, bool repeat_line)
+{
+    const Addr fallthrough = pc + inst.size;
+
+    // Demand-paged library text: the first fetch of a page takes a
+    // first-touch fault (charged as pure latency).
     if (params_.demandPaging)
         demandTouchFetch(pc);
-    frontEnd(pc, slot.flags, repeat_line);
+    frontEnd(pc, flags, repeat_line);
     const Addr predicted = predictor_.predictNext(inst, pc);
 
     auto &regs = state_.regs;
@@ -541,7 +562,7 @@ Core::stepT()
         redirected = true;
         break;
       default:
-        // Non-control ops were retired by retireBodyOp above.
+        // Non-control ops retire through retireBodyOp.
         break;
     }
 
@@ -590,7 +611,7 @@ Core::stepT()
         trace::TraceEvent ev;
         ev.kind = trace::EventKind::Control;
         ev.op = inst.op;
-        ev.flags = slot.flags;
+        ev.flags = flags;
         ev.taken = redirected ? 1 : 0;
         ev.pc = pc;
         ev.addr = next;
@@ -601,7 +622,7 @@ Core::stepT()
     // Call-site profiler (Pin-tool stand-in): record each PLT
     // trampoline's entering instruction and resolved target.
     if (params_.collectCallSiteTrace) {
-        if ((slot.flags & linker::FlagPltJmp) && hasLastCtl_) {
+        if ((flags & linker::FlagPltJmp) && hasLastCtl_) {
             const linker::Slot *target_slot = image_->decode(next);
             const bool still_lazy =
                 next == linker::ResolverVa ||
@@ -619,17 +640,16 @@ Core::stepT()
     }
 
     // Advance.
-    if (redirected || effective != fallthrough) {
+    const bool left_path = redirected || effective != fallthrough;
+    if (left_path) {
         // Taken transfer: the fetch group ends here.
         if (cnt_.issueSlot != 0) {
             ++cnt_.cycles;
             cnt_.issueSlot = 0;
         }
         state_.pc = effective;
-        curSlot_ = nullptr;
     } else {
         state_.pc = fallthrough;
-        curSlot_ = image_->nextSlot(curSlot_);
     }
 
     if constexpr (Observed) {
@@ -655,6 +675,7 @@ Core::stepT()
         rec.state = &state_;
         observer_->onRetire(rec);
     }
+    return left_path;
 }
 
 template <bool Observed>
@@ -681,25 +702,33 @@ Core::runBlockLoopT(std::uint64_t max_insts)
     // between two body-op fetches touches the I-side structures —
     // body ops access only the D side. The next-line prefetcher
     // would break that guarantee (it fills L1I between fetches), so
-    // it disables the fast path (fetchFastOk_).
+    // it disables the fast path (fetchFastOk_). The blocks carry
+    // their line runs (BlockOp::lineRun, Block::termSameLine),
+    // computed for this core's L1I line (attachProcess).
     const bool fast_fetch = fetchFastOk_;
     const std::uint32_t line_shift = fetchLineShift_;
 
-    // L1I line of the most recent instruction fetch, carried across
-    // block boundaries by the unobserved fast path: a body op on the
-    // same line as the previous fetch — even the previous block's
-    // terminator — is a guaranteed repeat hit. Reset to the no-line
-    // sentinel whenever anything other than a plain fetch may have
-    // touched the I side.
+    // L1I line of the most recent instruction fetch when that was
+    // the last op of the block just left (unobserved loop only): a
+    // body op on it is a guaranteed repeat hit. The no-line sentinel
+    // whenever anything other than a plain fetch may have touched
+    // the I side since.
     Addr last_line = ~Addr{0};
 
-    // Carried block index: deterministic control edges (fall-through
-    // and static branch targets) memoize their successor block in
-    // the Block itself, so steady-state dispatch follows an index
-    // instead of re-probing the hash table. Negative means "probe by
-    // pc". Memos are stored in blocks_ and die with it on any flush;
+    // Blocks hold their own decoded ops; the per-instruction
+    // cursor is re-derived by the next stepT.
+    curSlot_ = nullptr;
+
+    // Carried block index: control edges memoize their successor
+    // in the Block itself — the static taken and fall-through edges
+    // and the last indirect landing — so steady-state dispatch
+    // follows an index instead of re-probing the hash table.
+    // Negative means "probe by pc"; `memo_from` is then the block
+    // whose indirect landing the probe's result is memoized for.
+    // Memos are stored in blocks_ and die with it on any flush;
     // block indices are stable otherwise (the cache only appends).
     std::int32_t bi = -1;
+    std::int32_t memo_from = -1;
 
     while (!state_.halted && state_.pc != MagicReturnVa &&
            cnt_.instructions - start < max_insts) {
@@ -709,17 +738,22 @@ Core::runBlockLoopT(std::uint64_t max_insts)
             serviceResolver();
             last_line = ~Addr{0};
             bi = -1;
+            memo_from = -1;
             continue;
         }
-        if (bi < 0)
-            bi = image_->blockIndex(state_.pc);
         if (bi < 0) {
-            // Not decodable: take the per-instruction step so the
-            // "undecodable pc" error path is byte-identical.
-            curSlot_ = nullptr;
-            stepT<Observed>();
-            last_line = ~Addr{0};
-            continue;
+            bi = image_->blockIndex(state_.pc);
+            if (bi < 0) {
+                // Not decodable: take the per-instruction step so
+                // the "undecodable pc" error path is byte-identical.
+                stepT<Observed>();
+                last_line = ~Addr{0};
+                memo_from = -1;
+                continue;
+            }
+            if (memo_from >= 0)
+                image_->memoSuccIndirect(memo_from, state_.pc, bi);
+            memo_from = -1;
         }
         const linker::Image::Block &b = image_->block(bi);
         const linker::Image::BlockOp *ops = image_->blockOps(b);
@@ -732,12 +766,14 @@ Core::runBlockLoopT(std::uint64_t max_insts)
         if constexpr (Observed) {
             // Per-op bookkeeping, exactly as stepT retires a body op,
             // so the observer sees every retire's cycle and index.
+            // Every op of a line run but its first is a repeat.
+            std::uint32_t run_left = 0;
             for (std::uint32_t i = 0; i < n; ++i) {
-                const bool repeat =
-                    fast_fetch && i != 0 &&
-                    ((ops[i].va ^ ops[i - 1].va) >> line_shift) == 0;
-                retireBodyOp<true>(ops[i].inst, ops[i].va,
-                                   ops[i].flags, repeat);
+                const bool repeat = run_left != 0;
+                run_left = repeat ? run_left - 1 : ops[i].lineRun;
+                retireBodyOp<true>(ops[i].inst, ops[i].handler,
+                                   ops[i].va, ops[i].flags,
+                                   fast_fetch && repeat);
             }
         } else {
             // Bulk bookkeeping for the whole straight-line run. Each
@@ -746,10 +782,10 @@ Core::runBlockLoopT(std::uint64_t max_insts)
             // on (s+n) mod W; cycle additions commute, and nothing
             // unobserved reads the counters mid-block, so the block-
             // end totals are byte-identical to the per-op sequence.
-            const std::uint64_t slots = cnt_.issueSlot + n;
+            // (32-bit: s < W and n <= MaxBlockOps.)
+            const std::uint32_t slots = cnt_.issueSlot + n;
             cnt_.cycles += slots / params_.issueWidth;
-            cnt_.issueSlot = static_cast<std::uint32_t>(
-                slots % params_.issueWidth);
+            cnt_.issueSlot = slots % params_.issueWidth;
             cnt_.instructions += n;
             if (n == body) {
                 cnt_.trampolineInsts += b.pltBodyOps;
@@ -762,31 +798,34 @@ Core::runBlockLoopT(std::uint64_t max_insts)
             if (!fast_fetch) {
                 for (std::uint32_t i = 0; i < n; ++i) {
                     fetchMemoized(ops[i].va);
-                    execBodyOp(ops[i].inst, ops[i].va);
+                    execBodyOp(ops[i].inst, ops[i].handler, ops[i].va);
                 }
             } else {
-                // Body VAs are sequential, so same-line ops form
-                // runs: one memoized fetch per new line (loop bodies
+                // One memoized fetch per L1I-line run (loop bodies
                 // re-walk the same short cycle of lines, so it is
-                // usually a proven hit), then a single batched
-                // repeat for the rest of the run.
+                // usually a proven hit), then one batched repeat for
+                // the rest of the run: fetch and execute the head,
+                // then the rest. A first run on the line of the
+                // previous block's last fetch repeats as a whole.
                 std::uint32_t i = 0;
+                if (n != 0 && (ops[0].va >> line_shift) == last_line) {
+                    i = std::min(n, 1u + ops[0].lineRun);
+                    hierarchy_.fetchRepeatN(i);
+                    for (std::uint32_t k = 0; k < i; ++k)
+                        execBodyOp(ops[k].inst, ops[k].handler,
+                                   ops[k].va);
+                }
                 while (i < n) {
-                    const Addr line = ops[i].va >> line_shift;
-                    if (line != last_line) {
-                        fetchMemoized(ops[i].va);
-                        last_line = line;
-                        execBodyOp(ops[i].inst, ops[i].va);
-                        ++i;
-                    } else {
-                        std::uint32_t j = i + 1;
-                        while (j < n &&
-                               (ops[j].va >> line_shift) == line)
-                            ++j;
-                        hierarchy_.fetchRepeatN(j - i);
-                        for (; i < j; ++i)
-                            execBodyOp(ops[i].inst, ops[i].va);
-                    }
+                    const std::uint32_t end =
+                        std::min(n, i + 1 + ops[i].lineRun);
+                    fetchMemoized(ops[i].va);
+                    execBodyOp(ops[i].inst, ops[i].handler, ops[i].va);
+                    if (++i == end)
+                        continue;
+                    hierarchy_.fetchRepeatN(end - i);
+                    for (; i < end; ++i)
+                        execBodyOp(ops[i].inst, ops[i].handler,
+                                   ops[i].va);
                 }
             }
         }
@@ -794,13 +833,12 @@ Core::runBlockLoopT(std::uint64_t max_insts)
             // Quantum boundary mid-body: resume at the next op,
             // exactly where the per-instruction loop would stop.
             state_.pc = ops[n].va;
-            curSlot_ = nullptr;
             break;
         }
         if (!b.hasTerm) {
             // Capped block or run off decoded code: fall through.
+            last_line = ops[body - 1].va >> line_shift;
             state_.pc = b.endVa;
-            curSlot_ = nullptr;
             std::int32_t succ = b.succFall;
             if (succ < 0) {
                 succ = image_->blockIndex(b.endVa);
@@ -813,49 +851,45 @@ Core::runBlockLoopT(std::uint64_t max_insts)
         if (remaining == body) {
             // Quantum boundary right before the terminator.
             state_.pc = b.endVa;
-            curSlot_ = nullptr;
             break;
         }
-        // Terminator: delegate to stepT with the cursor preset so
-        // prediction, ABTB substitution, skip checking, and
-        // mispredict accounting run unchanged. Copy what we need
-        // first — stepT may observe/throw, and block storage must
-        // not be assumed stable past this dispatch.
-        const Addr term_va = b.endVa;
-        const std::uint32_t term_slot = b.termSlot;
-        // Classify the terminator's deterministic edges up front so
-        // the landing pc can be matched against them after the step
-        // (an ABTB substitution or resolver redirect lands anywhere
-        // else and simply falls back to a probe). Copy before stepT:
-        // block storage must not be assumed stable across it.
-        const isa::Instruction &term = ops[body].inst;
-        const isa::Opcode term_op = term.op;
-        const Addr term_fall = term_va + term.size;
-        const Addr term_target =
-            term_fall + static_cast<Addr>(term.imm);
+        // The terminator, read from the block. Copy it and the
+        // memos first: block storage must not be assumed stable
+        // across its execution. When it shares an L1I line with the
+        // last body op — the previous instruction fetched, in both
+        // body paths — its fetch is a guaranteed repeat: body ops
+        // touch only the D side, so the I-side repeat pointers still
+        // name that line (ready() turns false if anything unusual
+        // intervened).
+        const linker::Image::BlockOp term = ops[body];
+        const bool repeat = fast_fetch && b.termSameLine &&
+                            hierarchy_.fetchRepeatReady();
+        const std::int32_t memo_fall = b.succFall;
+        const std::int32_t memo_taken = b.succTaken;
+        const std::int32_t memo_indirect = b.succIndirect;
+        const Addr memo_indirect_va = b.succIndirectVa;
+        state_.pc = term.va;
+        if (term.handler != linker::Handler::Control) {
+            // Halt ends the block but transfers nothing: it retires
+            // as a body op.
+            retireBodyOp<Observed>(term.inst, term.handler, term.va,
+                                   term.flags, repeat);
+            bi = -1;
+            continue;
+        }
+        controlT<Observed>(term.inst, term.va, term.flags, repeat);
+        // controlT's last I-side operation is its fetch of term.va
+        // (an ABTB substitution adds no fetch).
+        last_line = term.va >> line_shift;
+        // Follow the edge the transfer took: a static edge through
+        // its memo, any other landing (indirect target, ABTB
+        // substitution, resolver trap) through the indirect memo
+        // when it matches, else by a probe at the loop top.
+        const isa::Opcode term_op = term.inst.op;
+        const Addr term_fall = term.va + term.inst.size;
         const bool term_static = term_op == isa::Opcode::JmpRel ||
                                  term_op == isa::Opcode::CallRel ||
                                  term_op == isa::Opcode::CondBr;
-        const std::int32_t memo_fall = b.succFall;
-        const std::int32_t memo_taken = b.succTaken;
-        state_.pc = term_va;
-        curSlot_ = image_->slotAt(term_slot);
-        // When the terminator shares an L1I line with the last body
-        // op — the previous instruction fetched, in both the
-        // observed and unobserved body paths — its fetch is a
-        // guaranteed repeat: body ops touch only the D side, so the
-        // I-side repeat pointers still name that line (ready() turns
-        // false if anything unusual intervened). Hand stepT the
-        // proof; it takes fetchRepeat() instead of the full walk.
-        fetchRepeatHint_ =
-            fast_fetch && body != 0 &&
-            ((ops[body - 1].va ^ term_va) >> line_shift) == 0 &&
-            hierarchy_.fetchRepeatReady();
-        stepT<Observed>();
-        // stepT's last I-side operation is its fetch of term_va (an
-        // ABTB substitution adds no fetch), so the repeat memo stays
-        // valid across the block boundary.
-        last_line = term_va >> line_shift;
         if (term_op == isa::Opcode::CondBr &&
             state_.pc == term_fall) {
             std::int32_t succ = memo_fall;
@@ -865,7 +899,9 @@ Core::runBlockLoopT(std::uint64_t max_insts)
                     image_->memoSuccFall(bi, succ);
             }
             bi = succ;
-        } else if (term_static && state_.pc == term_target) {
+        } else if (term_static &&
+                   state_.pc ==
+                       term_fall + static_cast<Addr>(term.inst.imm)) {
             std::int32_t succ = memo_taken;
             if (succ < 0) {
                 succ = image_->blockIndex(state_.pc);
@@ -873,7 +909,11 @@ Core::runBlockLoopT(std::uint64_t max_insts)
                     image_->memoSuccTaken(bi, succ);
             }
             bi = succ;
+        } else if (memo_indirect >= 0 &&
+                   state_.pc == memo_indirect_va) {
+            bi = memo_indirect;
         } else {
+            memo_from = bi;
             bi = -1;
         }
     }

@@ -407,21 +407,37 @@ class Core
      * RetireRecord assembly at all; the run entry points dispatch
      * once per quantum instead of once per instruction. runLoopT
      * is the timing reference block dispatch is checked against
-     * (CoreParams::blockDispatch) and the trace recorder's loop;
-     * stepT also retires every block terminator.
+     * (CoreParams::blockDispatch) and the trace recorder's loop.
+     * stepT decodes the slot at pc and retires it through
+     * retireBodyOp or controlT.
      */
     template <bool Observed> void stepT();
     template <bool Observed>
     std::uint64_t runLoopT(std::uint64_t max_insts);
 
     /**
+     * Execute and retire one control transfer at pc: fetch,
+     * prediction, ABTB substitution, mispredict accounting, retire
+     * hooks, and the pc update. The one control path, for stepT and
+     * for block terminators (read from the block, not the slot).
+     * `repeat_line`: a proven same-L1I-line repeat fetch.
+     * @return True when the transfer left the fall-through path
+     *         (taken, or substituted).
+     */
+    template <bool Observed>
+    bool controlT(const isa::Instruction &inst, Addr pc,
+                  std::uint8_t flags, bool repeat_line);
+
+    /**
      * Block dispatcher: one block-cache lookup per straight-line
-     * run, body ops executed by execBodyOp, the terminator
-     * delegated to stepT (which keeps prediction, ABTB
-     * substitution, and mispredict accounting in one place).
-     * The observed loop retires body ops through retireBodyOp like
-     * stepT; the unobserved one batches the bookkeeping per
-     * straight-line run. Byte-identical observables to runLoopT.
+     * run, body ops executed by execBodyOp through their handler,
+     * the terminator by controlT (Halt, which is not a transfer, by
+     * retireBodyOp). The observed loop retires body ops through
+     * retireBodyOp like stepT; the unobserved one batches the
+     * bookkeeping per straight-line run and fetches once per L1I-
+     * line run. Successors follow the block's memoized edges before
+     * probing the head table. Byte-identical observables to
+     * runLoopT.
      */
     template <bool Observed>
     std::uint64_t runBlockLoopT(std::uint64_t max_insts);
@@ -439,20 +455,24 @@ class Core
      * The one executor of the non-control opcodes (everything a
      * block body holds, plus Halt), shared by the per-instruction
      * loop and both block loops: demand-paged text touch, the
-     * architectural effect, and the skip unit's store-snoop/retire
-     * hook. Fetch, issue and retire counting stay with the caller:
-     * per op in retireBodyOp, batched in the unobserved block loop.
+     * architectural effect (one switch on the op's fused handler,
+     * linker::handlerOf(inst)), and the skip unit's store-snoop/
+     * retire hook. Fetch, issue and retire counting stay with the
+     * caller: per op in retireBodyOp, batched in the unobserved
+     * block loop.
      */
-    BodyEffect execBodyOp(const isa::Instruction &inst, Addr pc);
+    BodyEffect execBodyOp(const isa::Instruction &inst,
+                          linker::Handler handler, Addr pc);
 
     /**
      * Retire one non-control op with per-op bookkeeping: front end,
      * execBodyOp, pc advance, trace and observer record. stepT uses
      * it for every non-control op, the observed block loop for
-     * every body op.
+     * every body op, and both block loops for a Halt terminator.
      */
     template <bool Observed>
-    void retireBodyOp(const isa::Instruction &inst, Addr pc,
+    void retireBodyOp(const isa::Instruction &inst,
+                      linker::Handler handler, Addr pc,
                       std::uint8_t flags, bool repeat_line);
 
     /** Append one retire to the trace: its store (if any), then
@@ -460,7 +480,7 @@ class Core
     void traceRetire(Addr pc, const BodyEffect &eff,
                      const trace::TraceEvent &ev);
 
-    /** Per-op front end of stepT and retireBodyOp: the I-side
+    /** Per-op front end of controlT and retireBodyOp: the I-side
      *  access (`repeat_line`: a proven same-line repeat), the issue
      *  slot, the retire count and the trampoline census. */
     void frontEnd(Addr pc, std::uint8_t flags, bool repeat_line);
@@ -480,9 +500,9 @@ class Core
      * charging the fault latency. Called only when
      * params_.demandPaging (gated at the call sites so the
      * overwhelmingly common non-demand arms pay one predictable
-     * branch): by execBodyOp for the non-control ops and by stepT
-     * for control transfers. Pure latency, so its order against the
-     * op's I-side access is immaterial.
+     * branch): by execBodyOp for the non-control ops and by
+     * controlT for control transfers. Pure latency, so its order
+     * against the op's I-side access is immaterial.
      */
     void
     demandTouchFetch(Addr va)
@@ -507,8 +527,6 @@ class Core
     }
 
     static bool condTaken(isa::CondKind cond, std::uint64_t value);
-    static std::uint64_t aluEval(isa::AluKind kind, std::uint64_t a,
-                                 std::uint64_t b);
 
     CoreParams params_;
     mem::Hierarchy hierarchy_;
@@ -562,14 +580,6 @@ class Core
      *  prefetcher off (fetchRepeatAt cannot reproduce its fill) and
      *  L1I lines within one page. */
     bool fetchFastOk_ = false;
-    /**
-     * Set by the block dispatcher immediately before a terminator
-     * stepT() it has proven to be a same-L1I-line repeat fetch;
-     * consumed (and cleared) by stepT's fetch stage, which then
-     * takes the fetchRepeat() fast path instead of the full walk
-     * (byte-identical counters at a fraction of the cost).
-     */
-    bool fetchRepeatHint_ = false;
     /** @} */
     std::function<void(Addr)> storeSnoopHook_;
     std::function<void()> flushAllHook_;

@@ -113,16 +113,17 @@ Image::buildBlock(Addr head) const
         const Slot &s = slots_[cur];
         if (endsBlock(s.inst.op)) {
             b.hasTerm = true;
-            b.termSlot = cur;
             b.endVa = va;
-            blockOps_.push_back({s.inst, s.va, s.flags});
+            blockOps_.push_back(
+                {s.inst, s.va, s.flags, handlerOf(s.inst)});
             break;
         }
         if (b.bodyOps == MaxBlockOps) {
             b.endVa = va; // capped: resume here, no terminator
             break;
         }
-        blockOps_.push_back({s.inst, s.va, s.flags});
+        blockOps_.push_back(
+            {s.inst, s.va, s.flags, handlerOf(s.inst)});
         ++b.bodyOps;
         if (s.flags & FlagPlt)
             ++b.pltBodyOps;
@@ -139,6 +140,20 @@ Image::buildBlock(Addr head) const
             break;
         }
     }
+
+    // I-line runs, back to front: body vas ascend, so the ops that
+    // share a line are consecutive.
+    BlockOp *ops = blockOps_.data() + b.firstOp;
+    const auto same_line = [this](Addr x, Addr y) {
+        return ((x ^ y) >> fetchLineShift_) == 0;
+    };
+    for (std::uint32_t i = b.bodyOps; i-- > 1;) {
+        if (same_line(ops[i - 1].va, ops[i].va))
+            ops[i - 1].lineRun =
+                static_cast<std::uint8_t>(ops[i].lineRun + 1);
+    }
+    b.termSameLine = b.hasTerm && b.bodyOps != 0 &&
+                     same_line(ops[b.bodyOps - 1].va, b.endVa);
 
     const auto index = static_cast<std::int32_t>(blocks_.size());
     blocks_.push_back(b);

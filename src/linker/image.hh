@@ -17,6 +17,7 @@
 #define DLSIM_LINKER_IMAGE_HH
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -78,6 +79,97 @@ enum SlotFlag : std::uint8_t
 
 /** Sentinel for Slot::pltIndex on non-PLT slots. */
 constexpr std::uint16_t NoPltIndex = 0xffff;
+
+/**
+ * Fused executor index of one instruction, derived from its
+ * decoded fields by handlerOf(): the opcode together with, for ALU
+ * ops, the ALU kind and whether the second operand is a register
+ * (RR) or the immediate (RI), and, for loads and stores, whether
+ * the address is base-relative or absolute. cpu::Core's body-op
+ * executor is one switch on it. Every control transfer maps to
+ * Control: those are executed by the core's control path, never
+ * as a body op. check::RefCore deliberately decodes the opcode
+ * itself, so a mapping bug here shows up as a lockstep divergence.
+ */
+enum class Handler : std::uint8_t
+{
+    Nop,
+    AddRR,
+    AddRI,
+    SubRR,
+    SubRI,
+    AndRR,
+    AndRI,
+    OrRR,
+    OrRI,
+    XorRR,
+    XorRI,
+    MulRR,
+    MulRI,
+    ShrRR,
+    ShrRI,
+    MovImm,
+    LoadBase,
+    LoadAbs,
+    StoreBase,
+    StoreAbs,
+    Push,
+    PushImm,
+    Pop,
+    AbtbFlush,
+    Halt,
+    Control,
+};
+
+/** The handler an instruction executes with (see Handler). */
+inline Handler
+handlerOf(const isa::Instruction &inst)
+{
+    // Table-driven and inline rather than a switch: block building
+    // and the per-instruction loop derive it for every op, and the
+    // opcode mix would mispredict a jump table.
+    using isa::Opcode;
+    constexpr Handler C = Handler::Control;
+    static constexpr Handler Base[] = {
+        Handler::Nop,
+        Handler::AddRR,     // + 2 * alu, + 1 for an immediate
+        Handler::MovImm,
+        Handler::LoadBase,  // + 1 for an absolute address
+        Handler::StoreBase, // + 1 for an absolute address
+        Handler::Push,
+        Handler::PushImm,
+        Handler::Pop,
+        C, C, C, C, C, C, C, C, // CallRel .. Ret
+        Handler::Halt,
+        Handler::AbtbFlush,
+    };
+    static_assert(std::size(Base) ==
+                  static_cast<std::size_t>(isa::LastOpcode) + 1);
+    static_assert(static_cast<int>(Opcode::CallRel) == 8 &&
+                  static_cast<int>(Opcode::Ret) == 15 &&
+                  static_cast<int>(Opcode::Halt) == 16);
+    // ALU ops: two handlers per kind, in AluKind order, RR then RI.
+    static_assert(static_cast<int>(Handler::ShrRI) -
+                      static_cast<int>(Handler::AddRR) ==
+                  2 * static_cast<int>(isa::LastAluKind) + 1);
+    static_assert(static_cast<int>(Handler::LoadAbs) ==
+                      static_cast<int>(Handler::LoadBase) + 1 &&
+                  static_cast<int>(Handler::StoreAbs) ==
+                      static_cast<int>(Handler::StoreBase) + 1);
+    // Out-of-range fields come only from corrupt input (Image::load
+    // rejects it); they must not index the table.
+    if (inst.op > isa::LastOpcode || inst.alu > isa::LastAluKind)
+        return Handler::Control;
+    const bool alu = inst.op == Opcode::IntAlu;
+    const bool mem =
+        inst.op == Opcode::Load || inst.op == Opcode::Store;
+    const int offset =
+        alu ? 2 * static_cast<int>(inst.alu) + (inst.src2 == isa::NoReg)
+            : mem && inst.memBase == isa::NoReg;
+    return static_cast<Handler>(
+        static_cast<int>(Base[static_cast<std::size_t>(inst.op)]) +
+        offset);
+}
 
 /** One decoded instruction at a fixed virtual address. */
 struct Slot
@@ -184,6 +276,12 @@ class Image
      * anything that changes decoded code (patcher writes,
      * dlopen/dlclose re-indexing, snapshot restore) must call
      * invalidateBlocks().
+     *
+     * A block is stored in the form cpu::Core executes: each op
+     * carries its handler, each body op the length of the same-L1I-
+     * line run it starts (for the line shift the attached cores
+     * set with setFetchLineShift()), and the block the terminator
+     * and its memoized successors.
      */
 
     /** One pre-decoded instruction of a cached block. */
@@ -192,6 +290,10 @@ class Image
         isa::Instruction inst;
         Addr va = 0;
         std::uint8_t flags = FlagNone;
+        Handler handler = Handler::Nop;
+        /** Body ops only: how many of the following body ops share
+         *  this op's L1I line. */
+        std::uint8_t lineRun = 0;
     };
 
     /** Block descriptor. Ops live at blockOps(b)[0 .. bodyOps-1];
@@ -202,19 +304,27 @@ class Image
         /** First va past the body: the terminator's va when
          *  hasTerm, else the resume pc after the last body op. */
         Addr endVa = 0;
+        /** Landing va of succIndirect; meaningless while it is -1. */
+        Addr succIndirectVa = 0;
         std::uint32_t firstOp = 0;
-        std::uint32_t termSlot = 0; ///< slots_ index (hasTerm only).
         std::uint16_t bodyOps = 0;
         /** Body ops carrying FlagPlt, so full-block dispatch can
          *  bump the trampoline-instruction counter in one add. */
         std::uint16_t pltBodyOps = 0;
         bool hasTerm = false;
-        /** Memoized successor block indices (fast-forward
-         *  chaining); -1 until first execution. Indices stay valid
+        /** The terminator shares the last body op's L1I line, so
+         *  its fetch right after the body is a repeat hit. */
+        bool termSameLine = false;
+        /** Memoized successor block indices; -1 until first
+         *  execution. succTaken and succFall cover the static
+         *  edges; succIndirect the last landing (at succIndirectVa)
+         *  that was neither: returns, register/memory-indirect
+         *  jumps and calls, ABTB substitutions. Indices stay valid
          *  until the next invalidateBlocks(): the arena is
          *  append-only between flushes. */
         std::int32_t succTaken = -1;
         std::int32_t succFall = -1;
+        std::int32_t succIndirect = -1;
     };
 
     /** Longest body a cached block may carry. */
@@ -237,11 +347,6 @@ class Image
     {
         return blockOps_.data() + b.firstOp;
     }
-    /** Decoded slot by slots_ index (terminator dispatch). */
-    const Slot *slotAt(std::uint32_t index) const
-    {
-        return &slots_[index];
-    }
 
     /** Memoize a successor edge (const: the block cache is
      *  mutable derived state, see below). */
@@ -252,6 +357,27 @@ class Image
     void memoSuccFall(std::int32_t index, std::int32_t succ) const
     {
         blocks_[static_cast<std::uint32_t>(index)].succFall = succ;
+    }
+    void memoSuccIndirect(std::int32_t index, Addr landing,
+                          std::int32_t succ) const
+    {
+        Block &b = blocks_[static_cast<std::uint32_t>(index)];
+        b.succIndirectVa = landing;
+        b.succIndirect = succ;
+    }
+
+    /**
+     * L1I line shift the line runs are computed for. Set by
+     * cpu::Core::attachProcess from its L1I geometry; a different
+     * shift than the cached blocks were built for flushes them.
+     */
+    void
+    setFetchLineShift(std::uint32_t shift)
+    {
+        if (shift == fetchLineShift_)
+            return;
+        invalidateBlocks();
+        fetchLineShift_ = shift;
     }
 
     /**
@@ -399,6 +525,8 @@ class Image
     mutable std::uint64_t blockHits_ = 0;
     mutable std::uint64_t blockBuilds_ = 0;
     mutable std::uint64_t blockFlushes_ = 0;
+    /** log2 of the default 64-byte L1I line. */
+    std::uint32_t fetchLineShift_ = 6;
     std::uint32_t hwCapLevel_ = 0;
     std::uint16_t nextNamespace_ = 1;
 

@@ -10,6 +10,12 @@
  * oracle, so a stale block being dispatched is caught as an
  * architectural divergence at the first wrong retire — the test
  * does not rely on the mutation happening to change a return value.
+ *
+ * The same holds for the blocks' memoized indirect successor (the
+ * last landing of a return, an indirect call or an ABTB
+ * substitution): it lives in the block arena and must die with it
+ * when different code appears at a memoized landing, and it must
+ * follow a landing that the ABTB later substitutes.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +23,7 @@
 #include "check/lockstep.hh"
 #include "linker/patcher.hh"
 #include "sim_fixture.hh"
+#include "stats/metrics.hh"
 #include "workload/engine.hh"
 
 using namespace dlsim;
@@ -232,4 +239,212 @@ TEST(BlockInvalidation, SnapshotRestoreDropsBlocksOfPatchedCode)
     EXPECT_GT(wb.image().liveBlocks(), 0u);
     EXPECT_GT(checker.stats().checkedRetires, 1000u);
     wb.core().setRetireObserver(nullptr);
+}
+
+namespace
+{
+
+/** The va just past the first instruction with opcode `op` in the
+ *  function at `fn` (a return landing after a call). */
+isa::Addr
+afterFirst(const linker::Image &image, isa::Addr fn, isa::Opcode op)
+{
+    for (isa::Addr va = fn;;) {
+        const linker::Slot *s = image.decode(va);
+        if (s == nullptr)
+            return 0;
+        va += s->inst.size;
+        if (s->inst.op == op)
+            return va;
+    }
+}
+
+/** Indirect-successor memo of the block headed at `head`. */
+std::pair<isa::Addr, std::int32_t>
+indirectMemo(const linker::Image &image, isa::Addr head)
+{
+    const auto &b = image.block(image.blockIndex(head));
+    return {b.succIndirectVa, b.succIndirect};
+}
+
+/** main -> lib outer -> app cb by register; cb's Ret lands in
+ *  outer, whose code after the call adds `add`. */
+elf::Module
+callbackApp()
+{
+    elf::ModuleBuilder app("app");
+    app.setDataSize(4096);
+    auto &f = app.function("main");
+    f.callExternal("outer");
+    f.ret();
+    auto &cb = app.function("cb");
+    cb.aluImm(isa::AluKind::Add, isa::RegRet, isa::RegRet, 1);
+    cb.ret();
+    return app.build();
+}
+
+elf::Module
+callbackLib(const std::string &name, std::int64_t add)
+{
+    elf::ModuleBuilder mb(name);
+    auto &fn = mb.function("outer");
+    fn.movImm(isa::RegRet, 0);
+    fn.movFuncAddr(2, "cb");
+    fn.callReg(2);
+    fn.aluImm(isa::AluKind::Add, isa::RegRet, isa::RegRet, add);
+    fn.ret();
+    return mb.build();
+}
+
+} // namespace
+
+TEST(BlockInvalidation, ReturnLandingMemoDiesWithDlcloseReload)
+{
+    // cb's Ret memoizes its landing inside lib's outer. dlclose +
+    // dlopen puts different code at exactly that va; the memo must
+    // die with the block cache, or the core would enter v1's landing
+    // block while the oracle decodes v2's slots.
+    cpu::CoreParams params = test::enhancedParams();
+    params.blockDispatch = true;
+    test::Sim sim(callbackApp(), {callbackLib("libv1", 10)}, params);
+    LockstepChecker checker(*sim.core);
+    sim.core->setRetireObserver(&checker);
+
+    for (int i = 0; i < 3; ++i)
+        EXPECT_EQ(sim.call("main").returnValue, 11u);
+    const isa::Addr cb = sim.image->symbolAddress("cb");
+    const isa::Addr landing =
+        afterFirst(*sim.image, sim.image->symbolAddress("outer"),
+                   isa::Opcode::CallIndReg);
+    const auto memo = indirectMemo(*sim.image, cb);
+    EXPECT_EQ(memo.first, landing);
+    EXPECT_GE(memo.second, 0);
+
+    sim.loader.dlclose(*sim.image, "libv1", [&](isa::Addr a) {
+        sim.core->onExternalGotWrite(a);
+        checker.onExternalWrite(a);
+    });
+    sim.loader.dlopen(*sim.image, callbackLib("libv2", 20));
+    ASSERT_EQ(afterFirst(*sim.image, sim.image->symbolAddress("outer"),
+                         isa::Opcode::CallIndReg),
+              landing);
+    EXPECT_EQ(sim.image->liveBlocks(), 0u);
+    checker.resync();
+
+    for (int i = 0; i < 3; ++i)
+        EXPECT_EQ(sim.call("main").returnValue, 21u);
+    EXPECT_EQ(indirectMemo(*sim.image, cb).first, landing);
+    EXPECT_GT(checker.stats().checkedRetires, 30u);
+    sim.core->setRetireObserver(nullptr);
+}
+
+TEST(BlockInvalidation, ReturnLandingMemoDiesWithPatcherWrite)
+{
+    // cb's Ret lands on `call libg@plt` in main. The patcher turns
+    // that landing into `call libg`; a surviving memo would keep
+    // entering the stale block that calls the trampoline.
+    elf::ModuleBuilder app("app");
+    app.setDataSize(4096);
+    auto &f = app.function("main");
+    f.movFuncAddr(2, "cb");
+    f.callReg(2);
+    f.callExternal("libg");
+    f.ret();
+    auto &cb = app.function("cb");
+    cb.movImm(isa::RegArg0, 4);
+    cb.ret();
+    elf::ModuleBuilder lib("lib");
+    auto &g = lib.function("libg");
+    g.aluImm(isa::AluKind::Mul, isa::RegRet, isa::RegArg0, 5);
+    g.ret();
+
+    cpu::CoreParams params;
+    params.collectCallSiteTrace = true;
+    params.blockDispatch = true;
+    linker::LoaderOptions near;
+    near.nearLibraries = true;
+    test::Sim sim(app.build(), {lib.build()}, params, near);
+    LockstepChecker checker(*sim.core);
+    sim.core->setRetireObserver(&checker);
+
+    for (int i = 0; i < 3; ++i)
+        EXPECT_EQ(sim.call("main").returnValue, 20u);
+    const isa::Addr landing =
+        afterFirst(*sim.image, sim.image->symbolAddress("main"),
+                   isa::Opcode::CallIndReg);
+    EXPECT_EQ(indirectMemo(*sim.image, sim.image->symbolAddress("cb"))
+                  .first,
+              landing);
+
+    linker::Patcher patcher;
+    const auto ps =
+        patcher.apply(*sim.image, sim.core->callSiteTrace());
+    ASSERT_EQ(ps.sitesPatched, 1u);
+    EXPECT_EQ(sim.image->liveBlocks(), 0u);
+
+    const auto tramp0 = sim.core->counters().trampolineInsts;
+    for (int i = 0; i < 3; ++i)
+        EXPECT_EQ(sim.call("main").returnValue, 20u);
+    // The patched landing calls libg directly.
+    EXPECT_EQ(sim.core->counters().trampolineInsts, tramp0);
+    EXPECT_GT(checker.stats().checkedRetires, 30u);
+    sim.core->setRetireObserver(nullptr);
+}
+
+TEST(BlockInvalidation, MemoizedLandingLaterAbtbSubstituted)
+{
+    // main calls libfn's trampoline through a register: the landing
+    // is first the trampoline, then — once the ABTB holds the
+    // trampoline — libfn itself, then the trampoline again after a
+    // flush. The memo follows every switch; blocks on and off agree
+    // on every counter.
+    const auto run = [](bool blocks) {
+        elf::ModuleBuilder app("app");
+        app.setDataSize(4096);
+        auto &f = app.function("main");
+        f.movImm(2, 0); // the trampoline va, set below
+        f.callReg(2);
+        f.ret();
+        app.declareImport("libfn");
+        elf::ModuleBuilder lib("lib");
+        auto &g = lib.function("libfn");
+        g.aluImm(isa::AluKind::Add, isa::RegRet, isa::RegArg0, 100);
+        g.ret();
+
+        cpu::CoreParams params = test::enhancedParams();
+        params.blockDispatch = blocks;
+        test::Sim sim(app.build(), {lib.build()}, params);
+        const isa::Addr main = sim.image->symbolAddress("main");
+        const isa::Addr tramp = sim.image->moduleAt(0).pltEntryVas[0];
+        const isa::Addr libfn = sim.image->symbolAddress("libfn");
+        sim.image->decodeMutable(main)->inst.imm =
+            static_cast<std::int64_t>(tramp);
+        LockstepChecker checker(*sim.core);
+        sim.core->setRetireObserver(&checker);
+
+        EXPECT_EQ(sim.call("main", 1).returnValue, 101u);
+        if (blocks) {
+            EXPECT_EQ(indirectMemo(*sim.image, main).first, tramp);
+        }
+        for (std::uint64_t i = 2; i < 6; ++i)
+            EXPECT_EQ(sim.call("main", i).returnValue, 100 + i);
+        EXPECT_GT(sim.core->counters().skippedTrampolines, 0u);
+        if (blocks) {
+            EXPECT_EQ(indirectMemo(*sim.image, main).first, libfn);
+        }
+
+        sim.core->skipUnit()->explicitFlush();
+        EXPECT_EQ(sim.call("main", 7).returnValue, 107u);
+        if (blocks) {
+            EXPECT_EQ(indirectMemo(*sim.image, main).first, tramp);
+        }
+        EXPECT_EQ(sim.call("main", 8).returnValue, 108u);
+        sim.core->setRetireObserver(nullptr);
+        stats::MetricsRegistry reg;
+        sim.core->reportMetrics(reg, "dlsim");
+        stats::MetricsDocument doc("memo");
+        doc.addRun("run").registry = reg;
+        return doc.toJson();
+    };
+    EXPECT_EQ(run(true), run(false));
 }
