@@ -8,6 +8,13 @@
  * trampolines are skipped; Apache shows the largest absolute
  * pressure and the largest improvements; Memcached's I-TLB conflict
  * misses disappear entirely.
+ *
+ * Under the default lazy --bind-policy the grid also runs the two
+ * alternative software baselines on the enhanced machine: stable
+ * linking (every resolution memoized at load, no lazy traps) and
+ * demand-driven loading (library pages faulted in on first touch).
+ * They land in --json-out as `<workload>.stable` / `.demand` and in
+ * a closing cycles table; BENCH_table4.json is this document.
  */
 
 #include "common.hh"
@@ -48,18 +55,28 @@ main(int argc, char **argv)
          2.77, 14.44, 14.40, 700},
     };
 
-    // Two jobs (base, enhanced) per workload, interleaved so the
-    // results land as [base0, enh0, base1, enh1, ...].
+    // Per workload: base and enhanced, then (lazy runs only) the
+    // stable and demand baselines on the enhanced machine, so the
+    // results land as [base0, enh0, stable0, demand0, base1, ...].
+    const bool baselines =
+        args.bindPolicy() == linker::BindPolicy::Lazy;
+    std::vector<workload::MachineConfig> machines = {
+        baseMachine(args), enhancedMachine(args)};
+    if (baselines) {
+        for (const auto policy : {linker::BindPolicy::Stable,
+                                  linker::BindPolicy::Demand}) {
+            machines.push_back(enhancedMachine());
+            machines.back().bindPolicy = policy;
+        }
+    }
+    const std::size_t perRow = machines.size();
     std::vector<std::function<ArmResult()>> work;
     for (const PaperRow &row : rows) {
-        for (const bool enhanced : {false, true}) {
-            work.push_back([&row, enhanced, &args] {
+        for (const auto &mc : machines) {
+            work.push_back([&row, &mc, &args] {
                 auto wl = workload::profileByName(row.name);
                 wl.seed = args.seed();
-                return runArm(wl,
-                              enhanced ? enhancedMachine(args)
-                                       : baseMachine(args),
-                              args.scaled(150),
+                return runArm(wl, mc, args.scaled(150),
                               args.scaled(row.requests),
                               args.sample());
             });
@@ -69,8 +86,8 @@ main(int argc, char **argv)
 
     for (std::size_t i = 0; i < std::size(rows); ++i) {
         const PaperRow &row = rows[i];
-        const ArmResult &base = arms[2 * i];
-        const ArmResult &enh = arms[2 * i + 1];
+        const ArmResult &base = arms[perRow * i];
+        const ArmResult &enh = arms[perRow * i + 1];
         const auto &b = base.counters;
         const auto &e = enh.counters;
         const auto requests =
@@ -86,6 +103,17 @@ main(int argc, char **argv)
                                    {{"workload", row.name},
                                     {"machine", "enhanced"},
                                     {"requests", requests}}));
+        for (std::size_t k = 2; k < perRow; ++k) {
+            const char *policy =
+                linker::bindPolicyName(machines[k].bindPolicy);
+            json.add(std::string(row.name) + "." + policy,
+                     arms[perRow * i + k],
+                     withSampleContext(args,
+                                       {{"workload", row.name},
+                                        {"machine", "enhanced"},
+                                        {"bind_policy", policy},
+                                        {"requests", requests}}));
+        }
 
         std::printf("--- %s ---\n", row.name);
         stats::TablePrinter t({"Counter PKI", "Base", "Enhanced",
@@ -116,6 +144,24 @@ main(int argc, char **argv)
                     (unsigned long long)e.cycles,
                     100.0 * (double(b.cycles) - double(e.cycles)) /
                         double(b.cycles));
+    }
+
+    if (baselines) {
+        std::printf("--- software baselines, enhanced machine ---\n");
+        stats::TablePrinter t({"Workload", "Lazy cycles",
+                               "Stable cycles", "Demand cycles",
+                               "Lazy traps", "Demand faults"});
+        for (std::size_t i = 0; i < std::size(rows); ++i) {
+            const auto &lazy = arms[perRow * i + 1].counters;
+            const auto &stable = arms[perRow * i + 2].counters;
+            const auto &demand = arms[perRow * i + 3].counters;
+            t.addRow({rows[i].name, std::to_string(lazy.cycles),
+                      std::to_string(stable.cycles),
+                      std::to_string(demand.cycles),
+                      std::to_string(lazy.resolverCalls),
+                      std::to_string(demand.demandFaults)});
+        }
+        std::printf("%s", t.render().c_str());
     }
     return json.write() ? 0 : 1;
 }

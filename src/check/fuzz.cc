@@ -77,6 +77,7 @@ machineFor(const FuzzCase &c)
                            : linker::PltStyle::X86;
     mc.bindPolicy = c.bindPolicy;
     mc.aslr = c.aslr;
+    mc.core.blockDispatch = c.blocks.value_or(true);
     // The oracle is the checker here; the core's built-in skip
     // assertion would preempt it (and hide the injected bug).
     mc.core.checkSkips = false;
@@ -221,6 +222,7 @@ checkStableMapCoherence(Workbench &wb)
 
 struct RunOutput
 {
+    /** Metrics compared across snapshot and dispatch variants. */
     std::string metricsJson;
     LockstepStats stats;
     core::SkipUnitStats skip; ///< Summed over cores.
@@ -467,12 +469,15 @@ runOnKernel(os::Kernel &k, EventApplier &events,
     k.run();
 
     RunOutput out;
+    stats::MetricsDocument doc("dlsim_fuzz");
     for (std::uint32_t i = 0; i < sys.numCores(); ++i) {
         accumulate(out.stats, checkers[i]->stats());
         const std::string who = "core" + std::to_string(i);
         checkFlushAccounting(sys.core(i), who.c_str());
         addSkipStats(out.skip, sys.core(i));
+        sys.core(i).reportMetrics(doc.addRun(who).registry, "dlsim");
     }
+    out.metricsJson = doc.toJson();
     out.kernel = k.stats();
     return out;
 }
@@ -775,6 +780,20 @@ addCaseFlags(stats::FlagTable &flags, FuzzCase &c)
                                  linker::bindPolicyName(c.bindPolicy));
             })
         .toggle("aslr", "randomise library placement", c.aslr)
+        .custom(
+            "blocks", "0|1",
+            "block dispatch off/on only (default: both, compared)",
+            [&c](const std::string &v) {
+                if (v != "0" && v != "1")
+                    throw std::invalid_argument(
+                        "expected 0 or 1, got '" + v + "'");
+                c.blocks = v == "1";
+            },
+            [&c] {
+                return c.blocks ? std::optional<std::string>(
+                                      *c.blocks ? "1" : "0")
+                                : std::nullopt;
+            })
         .toggle("inject-bug-config",
                 "fault injection: suppress the section 3.2 store flush",
                 c.injectFlushSuppression)
@@ -793,8 +812,17 @@ reproLine(const FuzzCase &c)
     return "dlsim_fuzz" + flags.render();
 }
 
+namespace
+{
+
+/**
+ * Run `c` on the one dispatch engine `c.blocks` names: the whole
+ * case under the oracle, sub-runs included. `metrics` receives what
+ * the two engines must agree on: the core and skip-unit metrics of
+ * every run.
+ */
 FuzzResult
-runCase(const FuzzCase &c)
+runEngine(const FuzzCase &c, std::string &metrics)
 {
     FuzzResult res;
     res.failingCase = c;
@@ -806,6 +834,7 @@ runCase(const FuzzCase &c)
         if (c.server) {
             const auto exact = runServer(c, wl, mc, schedule);
             fold(res, exact);
+            metrics = exact.metricsJson;
             if (!c.sample.empty()) {
                 // Sampled twin: same schedule (tenant churn lands
                 // inside fast-forward phases too), oracle attached
@@ -820,6 +849,7 @@ runCase(const FuzzCase &c)
                 const auto sampled =
                     runServer(c, wl, mc, schedule, sample);
                 fold(res, sampled);
+                metrics += sampled.metricsJson;
                 const std::string diff = sampledCounterDiff(
                     exact, sampled, c.baseMachine);
                 if (!diff.empty()) {
@@ -833,13 +863,16 @@ runCase(const FuzzCase &c)
             return res;
         }
         if (c.cores > 1) {
-            fold(res, runMultiCore(c, wl, mc, schedule));
+            const auto out = runMultiCore(c, wl, mc, schedule);
+            fold(res, out);
+            metrics = out.metricsJson;
             return res;
         }
 
         const auto with =
             runSingleCore(c, wl, mc, schedule, true);
         fold(res, with);
+        metrics = with.metricsJson;
 
         // Snapshot equivalence: a save/restore round-trip is
         // architecturally and microarchitecturally invisible, so a
@@ -865,6 +898,57 @@ runCase(const FuzzCase &c)
         res.failure = e.what();
         return res;
     }
+}
+
+/** The first line where `a` and `b` differ, under the nearest
+ *  metric name above it. */
+std::string
+firstDifference(const std::string &a, const std::string &b)
+{
+    std::istringstream as(a), bs(b);
+    std::string la, lb, metric;
+    while (std::getline(as, la) && std::getline(bs, lb)) {
+        if (la != lb)
+            return metric + "\n  blocks on:  " + la +
+                   "\n  blocks off: " + lb;
+        if (la.find("\": {") != std::string::npos)
+            metric = la;
+    }
+    return "documents differ in length";
+}
+
+} // namespace
+
+FuzzResult
+runCase(const FuzzCase &c)
+{
+    if (c.blocks) {
+        std::string metrics;
+        return runEngine(c, metrics);
+    }
+
+    // The blocks axis: the block loop must be a pure host speed-up,
+    // invisible to the oracle and to every model counter. A failing
+    // engine's case keeps its pinned `blocks`, so its repro replays
+    // that engine alone.
+    FuzzCase on = c, off = c;
+    on.blocks = true;
+    off.blocks = false;
+    std::string metrics_on, metrics_off;
+    FuzzResult res = runEngine(on, metrics_on);
+    if (!res.passed)
+        return res;
+    const FuzzResult res_off = runEngine(off, metrics_off);
+    if (!res_off.passed)
+        return res_off;
+    accumulate(res.stats, res_off.stats);
+    res.failingCase = c;
+    if (metrics_on != metrics_off) {
+        res.passed = false;
+        res.failure = "block dispatch changed the metrics: " +
+                      firstDifference(metrics_on, metrics_off);
+    }
+    return res;
 }
 
 FuzzCase

@@ -12,9 +12,10 @@
  * save/restore at random retire points, and cross-core stores
  * between kernel threads on a sim::MultiCoreSystem.
  *
- * Every case runs under the LockstepChecker oracle; any divergence,
- * reference fault, snapshot-equivalence mismatch, or violation of
- * the flush-accounting invariant
+ * Every case runs under the LockstepChecker oracle, once with block
+ * dispatch and once without; any divergence, reference fault,
+ * snapshot-equivalence mismatch, metric that differs between the two
+ * dispatch engines, or violation of the flush-accounting invariant
  *
  *     Abtb::flushes() == storeFlushes + coherenceFlushes
  *                        + contextSwitchFlushes + explicitFlushes
@@ -27,6 +28,7 @@
 #define DLSIM_CHECK_FUZZ_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -119,6 +121,14 @@ struct FuzzCase
     bool armPlt = false;
     linker::BindPolicy bindPolicy = linker::BindPolicy::Lazy;
     bool aslr = false;
+    /**
+     * Block dispatch (cpu::CoreParams::blockDispatch). Unset: the
+     * case runs with blocks on and again with blocks off, both under
+     * the oracle, and their core and skip-unit metrics must be
+     * byte-identical. Set: that engine only — the replay of a
+     * failure confined to one of them.
+     */
+    std::optional<bool> blocks;
     std::uint32_t abtbEntries = 256;
     std::uint32_t abtbAssoc = 4;
     std::uint32_t bloomBits = 1024;

@@ -53,7 +53,6 @@ Core::attachProcess(linker::Image *image,
     image_ = image;
     linker_ = linker;
     asid_ = asid;
-    curSlot_ = nullptr;
     image_->setFetchLineShift(fetchLineShift_);
     if (skipUnit_)
         skipUnit_->setAsid(asid);
@@ -75,7 +74,6 @@ void
 Core::setState(const MachineState &state)
 {
     state_ = state;
-    curSlot_ = nullptr;
 }
 
 void
@@ -213,7 +211,6 @@ Core::serviceResolver()
     ++cnt_.resolverCalls;
 
     state_.pc = result.target;
-    curSlot_ = nullptr;
 
     if (observer_) {
         ResolverRecord rec;
@@ -471,23 +468,20 @@ Core::stepT()
         return;
     }
 
-    if (!curSlot_ || curSlot_->va != state_.pc)
-        curSlot_ = image_->decode(state_.pc);
-    if (!curSlot_)
+    // Decoded afresh on every step: no slot pointer outlives the
+    // step, so a dlopen or dlclose between steps (which rebuilds the
+    // code index) cannot leave one dangling.
+    const linker::Slot *slot = image_->decode(state_.pc);
+    if (!slot)
         throw SimError("undecodable pc " + hexAddr(state_.pc));
 
-    const linker::Slot &slot = *curSlot_;
-    const linker::Handler handler = linker::handlerOf(slot.inst);
+    const linker::Handler handler = linker::handlerOf(slot->inst);
     if (handler != linker::Handler::Control) {
-        retireBodyOp<Observed>(slot.inst, handler, state_.pc,
-                               slot.flags, false);
-        curSlot_ = image_->nextSlot(curSlot_);
+        retireBodyOp<Observed>(slot->inst, handler, state_.pc,
+                               slot->flags, false);
         return;
     }
-    if (controlT<Observed>(slot.inst, state_.pc, slot.flags, false))
-        curSlot_ = nullptr;
-    else
-        curSlot_ = image_->nextSlot(curSlot_);
+    controlT<Observed>(slot->inst, state_.pc, slot->flags, false);
 }
 
 template <bool Observed>
@@ -714,10 +708,6 @@ Core::runBlockLoopT(std::uint64_t max_insts)
     // whenever anything other than a plain fetch may have touched
     // the I side since.
     Addr last_line = ~Addr{0};
-
-    // Blocks hold their own decoded ops; the per-instruction
-    // cursor is re-derived by the next stepT.
-    curSlot_ = nullptr;
 
     // Carried block index: control edges memoize their successor
     // in the Block itself — the static taken and fall-through edges
@@ -952,7 +942,6 @@ Core::beginCall(Addr function, std::uint64_t arg0,
     image_->addressSpace().poke64(state_.regs[isa::RegSp],
                                   MagicReturnVa);
     state_.pc = function;
-    curSlot_ = nullptr;
 
     if (observer_) {
         observer_->onBeginCall(state_, state_.regs[isa::RegSp],
@@ -1172,9 +1161,6 @@ Core::load(snapshot::Deserializer &d)
     lastCtlWasCall_ = d.boolean();
     d.checkBool(skipUnit_ != nullptr, "skip unit presence");
     d.leaveStruct();
-    // The decoded-slot cursor points into the image; it is
-    // re-established on the next fetch.
-    curSlot_ = nullptr;
     hierarchy_.load(d);
     predictor_.load(d);
     if (skipUnit_)

@@ -538,7 +538,6 @@ class Core
     std::uint16_t asid_ = 0;
 
     MachineState state_;
-    const linker::Slot *curSlot_ = nullptr;
 
     /**
      * @name Verified-touch memos

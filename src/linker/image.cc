@@ -128,7 +128,7 @@ Image::buildBlock(Addr head) const
         if (s.flags & FlagPlt)
             ++b.pltBodyOps;
         va += s.inst.size;
-        // Mirror nextSlot(): adjacency first, then the index.
+        // Adjacency first, then the index.
         const std::uint32_t next = cur + 1;
         if (next < slots_.size() && slots_[next].va == va) {
             cur = next;

@@ -238,22 +238,6 @@ class Image
      * hold a pre-decoded copy of the slot.
      */
     Slot *decodeMutable(Addr va);
-    /**
-     * Contiguous successor slot (fall-through fast path). Inline:
-     * the fast-forward interpreter calls this once per non-transfer
-     * instruction, and the common case is a single adjacency check.
-     */
-    const Slot *
-    nextSlot(const Slot *slot) const
-    {
-        const Slot *next = slot + 1;
-        if (next != slots_.data() + slots_.size() &&
-            next->va == slot->va + slot->inst.size) {
-            return next;
-        }
-        return decode(slot->va + slot->inst.size);
-    }
-
     /** decode() lookups that found / did not find a slot. Kept for
      *  dlbench's linker.decode_cache.hit_rate metric. */
     std::uint64_t decodeCacheHits() const { return decodeHits_; }

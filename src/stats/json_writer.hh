@@ -5,8 +5,7 @@
  * The simulator has no third-party dependencies, so JSON support is
  * built in: a streaming writer with automatic comma/indent handling
  * (enough to serialise a MetricsDocument) and a strict recursive-
- * descent validator used by tests and by tools/bench_to_json to check
- * the documents it emits.
+ * descent validator the tests check emitted documents with.
  */
 
 #ifndef DLSIM_STATS_JSON_WRITER_HH

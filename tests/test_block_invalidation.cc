@@ -241,6 +241,35 @@ TEST(BlockInvalidation, SnapshotRestoreDropsBlocksOfPatchedCode)
     wb.core().setRetireObserver(nullptr);
 }
 
+TEST(BlockInvalidation, DlopenBetweenPerInstructionQuantaIsSafe)
+{
+    // The per-instruction loop keeps no slot pointer across run()
+    // calls: a dlopen between two quanta grows the slot table (and
+    // may move it), and the next step must decode afresh. Under
+    // ASan a pointer kept into the old table reads freed memory.
+    elf::ModuleBuilder app("app");
+    app.setDataSize(4096);
+    auto &f = app.function("f");
+    for (int i = 0; i < 20; ++i)
+        f.movImm(isa::RegRet, i);
+    f.ret();
+
+    elf::ModuleBuilder big("libbig");
+    auto &g = big.function("g");
+    for (int i = 0; i < 5000; ++i)
+        g.nop();
+    g.ret();
+
+    cpu::CoreParams params;
+    params.blockDispatch = false;
+    test::Sim sim(app.build(), {}, params);
+    sim.core->beginCall(sim.image->symbolAddress("f"));
+    EXPECT_FALSE(sim.core->runQuantum(3));
+    sim.loader.dlopen(*sim.image, big.build());
+    EXPECT_TRUE(sim.core->runQuantum(1000));
+    EXPECT_EQ(sim.core->state().regs[isa::RegRet], 19u);
+}
+
 namespace
 {
 

@@ -58,12 +58,12 @@ TEST(Image, DecodeMidInstructionFails)
     EXPECT_EQ(image->decode(f + 2), nullptr);
 }
 
-TEST(Image, NextSlotFollowsFallThrough)
+TEST(Image, FallThroughSlotDecodes)
 {
     Loader loader;
     auto image = makeImage(loader);
     const Slot *slot = image->decode(image->symbolAddress("f"));
-    const Slot *next = image->nextSlot(slot);
+    const Slot *next = image->decode(slot->va + slot->inst.size);
     ASSERT_NE(next, nullptr);
     EXPECT_EQ(next->va, slot->va + slot->inst.size);
     EXPECT_EQ(next->inst.op, isa::Opcode::MovImm);
@@ -78,7 +78,7 @@ TEST(Image, PltSlotsFlagged)
     ASSERT_NE(tramp, nullptr);
     EXPECT_TRUE(tramp->flags & FlagPlt);
     EXPECT_TRUE(tramp->flags & FlagPltJmp);
-    const Slot *push = image->nextSlot(tramp);
+    const Slot *push = image->decode(tramp->va + tramp->inst.size);
     ASSERT_NE(push, nullptr);
     EXPECT_TRUE(push->flags & FlagPlt);
     EXPECT_FALSE(push->flags & FlagPltJmp);

@@ -67,17 +67,10 @@ reject(--abtb-assoc "${DLSIM_FUZZ}" --abtb-entries 8 --abtb-assoc 16)
 reject(--abtb-entries "${DLSIM_FUZZ}" --abtb-entries 8 --abtb-assoc 3)
 reject(--bloom-bits "${DLSIM_FUZZ}" --bloom-bits 100)
 reject(--bloom-hashes "${DLSIM_FUZZ}" --bloom-hashes 0)
+reject(--blocks "${DLSIM_FUZZ}" --blocks 2)
 reject(--bogus "${DLSIM_FUZZ}" --bogus)
 reject(--eager-binding "${DLSIM_FUZZ}" --eager-binding)
 expect(0 "usage: dlsim_fuzz" "${DLSIM_FUZZ}" --help)
-
-# dlsim_ubench.
-reject(--warmup "${DLSIM_UBENCH}" --warmup)
-reject(--seed "${DLSIM_UBENCH}" --seed 1 --seed 2)
-reject(--warmup "${DLSIM_UBENCH}" --warmup abc)
-reject(--requests "${DLSIM_UBENCH}" --requests 0)
-reject(--bogus "${DLSIM_UBENCH}" --bogus)
-expect(0 "usage: dlsim_ubench" "${DLSIM_UBENCH}" --help)
 
 # bench_guard.
 reject(--fresh "${BENCH_GUARD}" --committed a.json --fresh)
@@ -86,12 +79,6 @@ reject(--tolerance "${BENCH_GUARD}" --committed a.json --fresh b.json
     --tolerance abc)
 reject(--bogus "${BENCH_GUARD}" --bogus)
 expect(0 "usage: bench_guard" "${BENCH_GUARD}" --help)
-
-# bench_to_json (no numeric flags).
-reject(--out-dir "${BENCH_TO_JSON}" --out-dir)
-reject(--out-dir "${BENCH_TO_JSON}" --out-dir a --out-dir b)
-reject(--bogus "${BENCH_TO_JSON}" --bogus)
-expect(0 "usage: bench_to_json" "${BENCH_TO_JSON}" --help)
 
 # A bench on the shared BenchArgs flags.
 reject(--json-out "${BENCH}" --quick --json-out)

@@ -193,8 +193,8 @@ runSeeds(std::uint64_t lo, std::uint64_t hi,
         }
         ++failures;
         std::string why = r.failure;
-        const auto small =
-            dlsim::check::shrinkCase(c, shrink_budget, &why);
+        const auto small = dlsim::check::shrinkCase(
+            r.failingCase, shrink_budget, &why);
         std::cerr << "seed " << seed << ": FAIL\n"
                   << why << "\n"
                   << "reproduce: " << dlsim::check::reproLine(small)
