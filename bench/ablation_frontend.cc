@@ -38,25 +38,25 @@ main(int argc, char **argv)
     };
     std::vector<Variant> variants;
     for (const char *dir : {"bimodal", "gshare", "tournament"}) {
-        workload::MachineConfig mc;
+        workload::MachineConfig mc = baseMachine(args);
         mc.core.predictor.direction = dir;
         variants.push_back(
             {std::string("direction: ") + dir, dir, mc});
     }
     {
-        workload::MachineConfig mc;
+        workload::MachineConfig mc = baseMachine(args);
         mc.core.mem.iPrefetchNextLine = true;
         variants.push_back({"next-line I-prefetch",
                             "next_line_prefetch", mc});
     }
     {
-        workload::MachineConfig mc;
+        workload::MachineConfig mc = baseMachine(args);
         mc.core.predictor.indirect.enabled = true;
         variants.push_back({"VPC-style indirect target cache",
                             "indirect_cache", mc});
     }
     variants.push_back({"baseline (gshare, no prefetch)",
-                        "baseline", workload::MachineConfig{}});
+                        "baseline", baseMachine(args)});
 
     // Two jobs per variant: [v0.base, v0.enh, v1.base, ...].
     std::vector<std::function<ArmResult()>> work;
@@ -65,7 +65,6 @@ main(int argc, char **argv)
             work.push_back([&v, enhanced, &wl, &args] {
                 auto mc = v.mc;
                 mc.enhanced = enhanced;
-                mc.bindPolicy = args.bindPolicy();
                 return runArm(wl, mc, args.scaled(150),
                               args.scaled(450));
             });

@@ -35,21 +35,21 @@ main(int argc, char **argv)
     };
     std::vector<Variant> variants;
     for (std::uint32_t width : {1u, 2u, 4u}) {
-        workload::MachineConfig mc;
+        workload::MachineConfig mc = baseMachine(args);
         mc.core.issueWidth = width;
         variants.push_back(
             {"issue width " + std::to_string(width),
              "width" + std::to_string(width), mc});
     }
     for (std::uint32_t penalty : {8u, 15u, 25u}) {
-        workload::MachineConfig mc;
+        workload::MachineConfig mc = baseMachine(args);
         mc.core.mispredictPenalty = penalty;
         variants.push_back(
             {"mispredict penalty " + std::to_string(penalty),
              "penalty" + std::to_string(penalty), mc});
     }
     for (std::uint32_t lat : {120u, 220u, 400u}) {
-        workload::MachineConfig mc;
+        workload::MachineConfig mc = baseMachine(args);
         mc.core.mem.memLatency = lat;
         variants.push_back(
             {"memory latency " + std::to_string(lat),

@@ -432,26 +432,28 @@ enhancedMachine()
 }
 
 /**
- * Convenience: base-machine arm under the bench's --bind-policy.
- * Every bench that constructs machines through these overloads runs
- * its whole grid under the selected loader arm, so sweeps can be
- * re-run with `--bind-policy stable|demand|now` as alternative
- * software baselines.
+ * Convenience: base-machine arm under the bench's --bind-policy and
+ * --blocks. Every bench builds its machines through these overloads,
+ * so its whole grid runs under the selected loader arm (sweeps can
+ * be re-run with `--bind-policy stable|demand|now` as alternative
+ * software baselines) and the selected dispatch engine.
  */
 inline workload::MachineConfig
 baseMachine(const BenchArgs &args)
 {
     workload::MachineConfig mc;
     mc.bindPolicy = args.bindPolicy();
+    mc.core.blockDispatch = args.blocks();
     return mc;
 }
 
-/** Convenience: enhanced arm under the bench's --bind-policy. */
+/** Convenience: enhanced arm under the bench's --bind-policy and
+ *  --blocks. */
 inline workload::MachineConfig
 enhancedMachine(const BenchArgs &args)
 {
-    workload::MachineConfig mc = enhancedMachine();
-    mc.bindPolicy = args.bindPolicy();
+    workload::MachineConfig mc = baseMachine(args);
+    mc.enhanced = true;
     return mc;
 }
 

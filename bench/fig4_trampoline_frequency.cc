@@ -26,14 +26,12 @@ struct Census
 };
 
 Census
-censusCounts(const char *profile, int requests,
-             std::uint64_t seed, linker::BindPolicy policy)
+censusCounts(const BenchArgs &args, const char *profile, int requests)
 {
-    workload::MachineConfig mc;
-    mc.bindPolicy = policy;
+    workload::MachineConfig mc = baseMachine(args);
     mc.profileTrampolines = true;
     auto wl = workload::profileByName(profile);
-    wl.seed = seed;
+    wl.seed = args.seed();
     workload::Workbench wb(wl, mc);
     for (int i = 0; i < requests; ++i)
         wb.runRequest();
@@ -63,8 +61,7 @@ main(int argc, char **argv)
     for (const auto *p : profiles) {
         work.push_back(
             [p, requests, &args] {
-                return censusCounts(p, requests, args.seed(),
-                                    args.bindPolicy());
+                return censusCounts(args, p, requests);
             });
     }
     const auto results = runJobs(args, std::move(work));

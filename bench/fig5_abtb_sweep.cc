@@ -53,8 +53,7 @@ main(int argc, char **argv)
     // bytes with a fresh cold skip unit of its own geometry. The 11
     // sizes share one warm-up instead of simulating it 11 times
     // (and --from-snapshot skips it entirely).
-    workload::MachineConfig refMc = enhancedMachine(args);
-    refMc.core.blockDispatch = args.blocks();
+    const workload::MachineConfig refMc = enhancedMachine(args);
     workload::WorkloadParams wls[3];
     std::shared_ptr<const workload::BuiltProgram> progs[3];
     std::vector<std::uint8_t> states[3];
@@ -85,7 +84,6 @@ main(int argc, char **argv)
         work.push_back([cell, &args, &refMc, &wls, &progs,
                         &states, &requests] {
             workload::MachineConfig mc = enhancedMachine(args);
-            mc.core.blockDispatch = args.blocks();
             mc.abtbEntries = cell.entries;
             mc.abtbAssoc = std::min(cell.entries, 4u);
             return runArmFromState(

@@ -28,18 +28,17 @@ struct ServerResult
 };
 
 ServerResult
-runPrefork(bool software_patching, int workers, int masterRequests,
-           int workerRequests, std::uint64_t seed,
-           linker::BindPolicy policy)
+runPrefork(const BenchArgs &args, bool software_patching, int workers,
+           int masterRequests, int workerRequests)
 {
-    workload::MachineConfig mc;
-    mc.bindPolicy = policy;
-    mc.enhanced = !software_patching;
+    workload::MachineConfig mc = software_patching
+                                     ? baseMachine(args)
+                                     : enhancedMachine(args);
     mc.nearLibraries = software_patching;
     mc.collectCallSiteTrace = software_patching;
 
     auto wl = workload::apacheProfile();
-    wl.seed = seed;
+    wl.seed = args.seed();
     workload::Workbench wb(wl, mc);
     sim::System system(wb.core(), wb.image(), wb.linker());
 
@@ -84,14 +83,12 @@ main(int argc, char **argv)
     const int workerRequests = args.quick() ? 2 : 8;
     std::vector<std::function<ServerResult()>> work;
     work.push_back([&] {
-        return runPrefork(true, Workers, masterRequests,
-                          workerRequests, args.seed(),
-                          args.bindPolicy());
+        return runPrefork(args, true, Workers, masterRequests,
+                          workerRequests);
     });
     work.push_back([&] {
-        return runPrefork(false, Workers, masterRequests,
-                          workerRequests, args.seed(),
-                          args.bindPolicy());
+        return runPrefork(args, false, Workers, masterRequests,
+                          workerRequests);
     });
     const auto results = runJobs(args, std::move(work));
     const ServerResult &sw = results[0];

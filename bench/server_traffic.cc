@@ -253,15 +253,13 @@ main(int argc, char **argv)
     auto wl = workload::memcachedProfile(args.seed());
     wl.seed = args.seed();
 
-    auto mc_base = baseMachine(args);
-    mc_base.core.blockDispatch = args.blocks();
+    const auto mc_base = baseMachine(args);
     // Server configuration: ASID-tagged ABTB (§3.3) so the
     // context-switch storm does not wipe the skip unit — leaving
     // the coherence path (§3.2) as the mechanism that keeps
     // churned tenants correct.
     auto mc_enh = enhancedMachine(args);
     mc_enh.asidRetention = true;
-    mc_enh.core.blockDispatch = args.blocks();
 
     const auto prog =
         std::make_shared<const workload::BuiltProgram>(

@@ -65,7 +65,7 @@ main(int argc, char **argv)
     if (baselines) {
         for (const auto policy : {linker::BindPolicy::Stable,
                                   linker::BindPolicy::Demand}) {
-            machines.push_back(enhancedMachine());
+            machines.push_back(enhancedMachine(args));
             machines.back().bindPolicy = policy;
         }
     }

@@ -387,8 +387,12 @@ Image::save(snapshot::Serializer &s) const
                   snapshot::putLe64(p + 21,
                                     static_cast<std::uint64_t>(in.imm));
               });
-    s.u64(decodeHits_);
-    s.u64(decodeMisses_);
+    // Two retired u64 fields, kept so the format is unchanged. They
+    // held decodeHits_/decodeMisses_, host-side lookup counts that
+    // made the checkpoint of one machine state differ by dispatch
+    // engine.
+    s.u64(0);
+    s.u64(0);
     s.endStruct();
 }
 
@@ -444,15 +448,13 @@ Image::load(snapshot::Deserializer &d)
                  modules_[slot.moduleId].module.imports().size()))
             d.fail("slot module or plt index out of range");
     }
-    const std::uint64_t hits = d.u64();
-    const std::uint64_t misses = d.u64();
+    // The two retired counter fields (see save()).
+    d.u64();
+    d.u64();
     d.leaveStruct();
     // Rebuild the derived slot index from the restored slots and
-    // loaded flags, then pin the counters the restored run should
-    // continue from.
+    // loaded flags.
     indexSlots();
-    decodeHits_ = hits;
-    decodeMisses_ = misses;
 }
 
 } // namespace dlsim::linker

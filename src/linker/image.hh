@@ -239,7 +239,9 @@ class Image
      */
     Slot *decodeMutable(Addr va);
     /** decode() lookups that found / did not find a slot. Kept for
-     *  dlbench's linker.decode_cache.hit_rate metric. */
+     *  dlbench's linker.decode_cache.hit_rate metric. Host-side
+     *  counts of this process: checkpoints do not carry them, and a
+     *  restore leaves them as they were. */
     std::uint64_t decodeCacheHits() const { return decodeHits_; }
     std::uint64_t decodeCacheMisses() const { return decodeMisses_; }
     /** @} */

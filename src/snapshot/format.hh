@@ -64,6 +64,19 @@ std::uint32_t crc32(const std::uint8_t *data, std::size_t size,
                     std::uint32_t crc = 0);
 
 /**
+ * The same CRC by the portable slice-by-8 table loop alone. crc32()
+ * runs a carry-less-multiply (PCLMULQDQ) kernel over the bulk of a
+ * buffer when the host has one (crc32Accelerated()) and this loop
+ * over the rest; this entry point is the kernel's test oracle.
+ */
+std::uint32_t crc32Portable(const std::uint8_t *data, std::size_t size,
+                            std::uint32_t crc = 0);
+
+/** True when crc32() uses the carry-less-multiply kernel, decided
+ *  once from the host CPU's feature flags. */
+bool crc32Accelerated();
+
+/**
  * CRC of a concatenation from its parts' CRCs, without re-reading
  * either part: crc32Combine(crc(A), crc(B), |B|) == crc(A‖B). One
  * GF(2) multiply of crc(A) by x^(8·|B|) mod P, as in zlib's

@@ -23,6 +23,7 @@
 #ifndef DLSIM_SNAPSHOT_SERIALIZER_HH
 #define DLSIM_SNAPSHOT_SERIALIZER_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -123,6 +124,9 @@ std::size_t serializedSize(const SaveFn &save);
  * Struct and section CRCs are computed as the write pass goes: each
  * byte is hashed once, into its innermost open struct, and a closed
  * struct's CRC is folded into its parent's with crc32Combine().
+ * Bytes are hashed at the latest once HashChunk of them are pending,
+ * so a multi-megabyte struct is read back from the host's L2 cache
+ * rather than from memory.
  */
 class Serializer
 {
@@ -159,11 +163,23 @@ class Serializer
         std::uint8_t *p = reserve(std::size(items) * wire_bytes);
         if (p == nullptr)
             return;
-        for (const auto &item : items) {
-            pack(p, item);
-            p += wire_bytes;
+        // Pack HashChunk bytes at a time and hash each chunk while
+        // it is still in cache.
+        const std::size_t per_chunk =
+            std::max<std::size_t>(1, HashChunk / wire_bytes);
+        auto it = std::begin(items);
+        for (std::size_t left = std::size(items); left != 0;) {
+            const std::size_t n = std::min(left, per_chunk);
+            for (std::size_t i = 0; i < n; ++i, ++it, p += wire_bytes)
+                pack(p, *it);
+            left -= n;
+            foldPending(static_cast<std::size_t>(p - out_));
         }
     }
+
+    /** Pending bytes that trigger hashing: small enough to be still
+     *  in a host L2 cache when they are read back. */
+    static constexpr std::size_t HashChunk = std::size_t{256} << 10;
 
   private:
     friend std::vector<std::uint8_t> serialize(std::uint64_t,
@@ -215,14 +231,27 @@ class Serializer
     put(const void *data, std::size_t n)
     {
         std::uint8_t *p = reserve(n);
+        if (p == nullptr)
+            return;
         // memcpy's pointers must be valid even for n == 0, and an
         // empty container's data() may be null.
-        if (p != nullptr && n != 0)
+        if (n != 0)
             std::memcpy(p, data, n);
+        foldPending(pos_);
     }
 
-    /** Fold the open frame's bytes in [hashed, pos_) into its CRC. */
-    void hashPending(Frame &f) const;
+    /** Write pass: hash the innermost frame's bytes up to `end`, all
+     *  written, once at least HashChunk of them are pending. */
+    void
+    foldPending(std::size_t end)
+    {
+        Frame &f = frames_.back();
+        if (end - f.hashed >= HashChunk)
+            hashTo(f, end);
+    }
+
+    /** Fold the frame's bytes in [hashed, end) into its CRC. */
+    void hashTo(Frame &f, std::size_t end) const;
 
     [[noreturn]] static void outsideSection();
     [[noreturn]] static void diverged();

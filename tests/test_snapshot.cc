@@ -516,6 +516,69 @@ TEST(SnapshotFormat, CombinedCrcsMatchRecomputation)
     }
 }
 
+/**
+ * Structs several Serializer::HashChunk long, written through every
+ * path — many small fields, a records() run that crosses chunk
+ * boundaries, one large bytes() run inside a nested struct opened
+ * mid-chunk, page-sized writes — carry the CRCs a reader recomputes
+ * (enterSection/enterStruct verify them), though the write pass
+ * hashes their bytes a chunk at a time.
+ */
+TEST(SnapshotFormat, ChunkedHashingMatchesRecomputation)
+{
+    constexpr std::size_t Chunk = Serializer::HashChunk;
+    constexpr std::size_t Page = 4096;
+    std::mt19937_64 rng(31);
+    std::vector<std::uint8_t> big(3 * Chunk + 123);
+    for (auto &byte : big)
+        byte = static_cast<std::uint8_t>(rng());
+    std::vector<std::uint64_t> words(Chunk / 4 + 7);
+    for (auto &w : words)
+        w = rng();
+    const auto pack = [](std::uint8_t *p, std::uint64_t w) {
+        putLe64(p, w);
+        putLe16(p + 8, static_cast<std::uint16_t>(w >> 48));
+        p[10] = static_cast<std::uint8_t>(w >> 8);
+    };
+    const std::size_t pages = 3 * Chunk / Page;
+    const auto bytes = serialize(1, [&](Serializer &s) {
+        s.beginSection("big");
+        s.u32(7);
+        s.beginStruct("outer");
+        for (const std::uint64_t w : words)
+            s.u64(w);
+        s.records(words, 11, pack);
+        s.beginStruct("inner");
+        s.bytes(big.data(), big.size());
+        s.endStruct();
+        for (std::size_t i = 0; i < pages; ++i)
+            s.bytes(big.data() + i * 100, Page);
+        s.endStruct();
+        s.endSection();
+    });
+
+    Deserializer d(bytes.data(), bytes.size());
+    d.enterSection("big");
+    EXPECT_EQ(d.u32(), 7u);
+    d.enterStruct("outer");
+    std::size_t wrong = 0;
+    for (const std::uint64_t w : words)
+        wrong += d.u64() != w;
+    for (const std::uint64_t w : words) {
+        std::uint8_t expect[11];
+        pack(expect, w);
+        wrong += std::memcmp(d.raw(11), expect, 11) != 0;
+    }
+    d.enterStruct("inner");
+    wrong += std::memcmp(d.raw(big.size()), big.data(), big.size()) != 0;
+    d.leaveStruct();
+    for (std::size_t i = 0; i < pages; ++i)
+        wrong += std::memcmp(d.raw(Page), big.data() + i * 100, Page) != 0;
+    d.leaveStruct();
+    d.leaveSection();
+    EXPECT_EQ(wrong, 0u);
+}
+
 /** A payload the format cannot frame (u32 lengths) fails in the
  *  sizing pass, before any buffer exists. */
 TEST(SnapshotFormat, OversizedLengthsFailBeforeAllocation)
@@ -846,6 +909,29 @@ TEST(SnapshotWorkbench, RestoreThenRunEqualsKeepRunning)
               b.core().counters().l1iMisses);
     EXPECT_EQ(a.core().counters().mispredicts,
               b.core().counters().mispredicts);
+}
+
+/** A checkpoint holds simulated state only: the same warm machine
+ *  gives the same bytes whichever dispatch engine ran it, though the
+ *  engines' host-side lookup counts differ. */
+TEST(SnapshotWorkbench, BytesIndependentOfDispatchEngine)
+{
+    using namespace dlsim::workload;
+    const auto wl = tinyParams();
+    for (const bool enhanced : {false, true}) {
+        MachineConfig blocks_on;
+        blocks_on.enhanced = enhanced;
+        MachineConfig blocks_off = blocks_on;
+        blocks_off.core.blockDispatch = false;
+        Workbench a(wl, blocks_on);
+        Workbench b(wl, blocks_off);
+        a.warmup(8);
+        b.warmup(8);
+        EXPECT_NE(a.image().decodeCacheHits(),
+                  b.image().decodeCacheHits());
+        EXPECT_EQ(snapshotWorkbench(a), snapshotWorkbench(b))
+            << (enhanced ? "enhanced" : "base");
+    }
 }
 
 TEST(SnapshotWorkbench, RejectsFingerprintMismatch)
