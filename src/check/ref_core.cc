@@ -32,26 +32,46 @@ condTaken(isa::CondKind cond, std::uint64_t value)
     return false;
 }
 
-std::uint64_t
-aluEval(isa::AluKind kind, std::uint64_t a, std::uint64_t b)
+/**
+ * ALU result by select, not by switch: all seven results are
+ * computed and the one `kind` names is picked. The op mix of a
+ * fast-forward run mispredicts a jump table; this costs a few
+ * unconditional arithmetic ops and no branch. The index is masked
+ * into the eight-entry table (Image::load rejects kinds past Shr;
+ * the eighth entry yields 0 for one that slips past).
+ */
+inline std::uint64_t
+aluSelect(isa::AluKind kind, std::uint64_t a, std::uint64_t b)
 {
-    switch (kind) {
-      case isa::AluKind::Add:
-        return a + b;
-      case isa::AluKind::Sub:
-        return a - b;
-      case isa::AluKind::And:
-        return a & b;
-      case isa::AluKind::Or:
-        return a | b;
-      case isa::AluKind::Xor:
-        return a ^ b;
-      case isa::AluKind::Mul:
-        return a * b;
-      case isa::AluKind::Shr:
-        return a >> (b & 63);
-    }
-    return 0;
+    static_assert(static_cast<int>(isa::AluKind::Add) == 0 &&
+                      static_cast<int>(isa::AluKind::Sub) == 1 &&
+                      static_cast<int>(isa::AluKind::And) == 2 &&
+                      static_cast<int>(isa::AluKind::Or) == 3 &&
+                      static_cast<int>(isa::AluKind::Xor) == 4 &&
+                      static_cast<int>(isa::AluKind::Mul) == 5 &&
+                      static_cast<int>(isa::AluKind::Shr) == 6 &&
+                      isa::LastAluKind == isa::AluKind::Shr,
+                  "aluSelect's table is in AluKind order");
+    const std::uint64_t results[8] = {
+        a + b, a - b, a & b, a | b, a ^ b, a * b, a >> (b & 63), 0,
+    };
+    return results[static_cast<unsigned>(kind) & 7];
+}
+
+// The throws of the inlined hot paths live out of line, so the
+// string building stays out of the block chains.
+[[gnu::noinline, gnu::cold]] [[noreturn]] void
+throwMemFault(const char *what, Addr addr, Addr pc)
+{
+    throw RefExecError(std::string("reference ") + what +
+                       " fault at " + hexAddr(addr) + " (pc " +
+                       hexAddr(pc) + ")");
+}
+
+[[gnu::noinline, gnu::cold]] [[noreturn]] void
+throwUndecodable(Addr pc)
+{
+    throw RefExecError("reference: undecodable pc " + hexAddr(pc));
 }
 
 } // namespace
@@ -75,28 +95,149 @@ RefCore::sync(const cpu::MachineState &state)
         mem_ = image_->addressSpace().fork();
 }
 
-std::uint64_t
-RefCore::read64(Addr addr)
+[[gnu::always_inline]] inline std::uint64_t
+RefCore::read64(Addr addr, Addr pc)
 {
     mem::MemFault fault = mem::MemFault::None;
     const auto value = space().read64(addr, fault);
-    if (fault != mem::MemFault::None) {
-        throw RefExecError("reference load fault at " +
-                           hexAddr(addr) + " (pc " +
-                           hexAddr(state_.pc) + ")");
-    }
+    if (fault != mem::MemFault::None) [[unlikely]]
+        throwMemFault("load", addr, pc);
     return value;
 }
 
-void
-RefCore::write64(Addr addr, std::uint64_t value)
+[[gnu::always_inline]] inline void
+RefCore::write64(Addr addr, std::uint64_t value, Addr pc)
 {
-    const auto fault = space().write64(addr, value);
-    if (fault != mem::MemFault::None) {
-        throw RefExecError("reference store fault at " +
-                           hexAddr(addr) + " (pc " +
-                           hexAddr(state_.pc) + ")");
+    if (space().write64(addr, value) != mem::MemFault::None)
+        [[unlikely]] throwMemFault("store", addr, pc);
+}
+
+template <bool Record>
+[[gnu::always_inline]] inline bool
+RefCore::execT(const isa::Instruction &inst, RefStep *st, Addr &pc)
+{
+    const Addr fallthrough = pc + inst.size;
+    auto &regs = state_.regs;
+
+    if constexpr (Record) {
+        st->pc = pc;
+        st->op = inst.op;
     }
+
+    // ALU ops first and without a branch on their operands: operand
+    // b is read from a masked register index (an immediate form's
+    // NoReg reads some register harmlessly) and selected, and the
+    // result is selected from all seven (aluSelect).
+    if (inst.op == isa::Opcode::IntAlu) {
+        const std::uint64_t reg_b = regs[inst.src2 & (isa::NumRegs - 1)];
+        const std::uint64_t b = inst.src2 == isa::NoReg
+                                    ? static_cast<std::uint64_t>(
+                                          inst.imm)
+                                    : reg_b;
+        regs[inst.dst] = aluSelect(inst.alu, regs[inst.src1], b);
+        if constexpr (Record)
+            st->nextPc = fallthrough;
+        pc = fallthrough;
+        return false;
+    }
+
+    Addr nextPc = fallthrough;
+    bool taken = false;
+
+    const auto effAddr = [&]() -> Addr {
+        return inst.memBase == isa::NoReg
+                   ? static_cast<Addr>(inst.imm)
+                   : regs[inst.memBase] +
+                         static_cast<Addr>(inst.imm);
+    };
+    const auto load = [&](Addr addr) { return read64(addr, pc); };
+    const auto store = [&](Addr addr, std::uint64_t value) {
+        if constexpr (Record) {
+            st->storeAddr = addr;
+            st->storeValue = value;
+            st->didStore = true;
+        }
+        write64(addr, value, pc);
+    };
+
+    switch (inst.op) {
+      case isa::Opcode::Nop:
+      case isa::Opcode::IntAlu: // executed above
+      case isa::Opcode::AbtbFlush:
+        // The flush is architecturally a nop: it touches no
+        // visible state.
+        break;
+      case isa::Opcode::MovImm:
+        regs[inst.dst] = static_cast<std::uint64_t>(inst.imm);
+        break;
+      case isa::Opcode::Load:
+        regs[inst.dst] = load(effAddr());
+        break;
+      case isa::Opcode::Store:
+        store(effAddr(), regs[inst.src1]);
+        break;
+      case isa::Opcode::Push:
+        regs[isa::RegSp] -= 8;
+        store(regs[isa::RegSp], regs[inst.src1]);
+        break;
+      case isa::Opcode::PushImm:
+        regs[isa::RegSp] -= 8;
+        store(regs[isa::RegSp],
+              static_cast<std::uint64_t>(inst.imm));
+        break;
+      case isa::Opcode::Pop:
+        regs[inst.dst] = load(regs[isa::RegSp]);
+        regs[isa::RegSp] += 8;
+        break;
+      case isa::Opcode::CallRel:
+      case isa::Opcode::CallIndReg:
+      case isa::Opcode::CallIndMem: {
+        if (inst.op == isa::Opcode::CallRel) {
+            nextPc = fallthrough + static_cast<Addr>(inst.imm);
+        } else if (inst.op == isa::Opcode::CallIndReg) {
+            nextPc = regs[inst.src1];
+        } else {
+            nextPc = load(effAddr());
+        }
+        regs[isa::RegSp] -= 8;
+        store(regs[isa::RegSp], fallthrough);
+        taken = true;
+        break;
+      }
+      case isa::Opcode::JmpRel:
+        nextPc = fallthrough + static_cast<Addr>(inst.imm);
+        taken = true;
+        break;
+      case isa::Opcode::JmpIndReg:
+        nextPc = regs[inst.src1];
+        taken = true;
+        break;
+      case isa::Opcode::JmpIndMem:
+        nextPc = load(effAddr());
+        taken = true;
+        break;
+      case isa::Opcode::CondBr:
+        if (condTaken(inst.cond, regs[inst.src1])) {
+            nextPc = fallthrough + static_cast<Addr>(inst.imm);
+            taken = true;
+        }
+        break;
+      case isa::Opcode::Ret:
+        nextPc = load(regs[isa::RegSp]);
+        regs[isa::RegSp] += 8;
+        taken = true;
+        break;
+      case isa::Opcode::Halt:
+        state_.halted = true;
+        break;
+    }
+
+    if constexpr (Record) {
+        st->nextPc = nextPc;
+        st->taken = taken;
+    }
+    pc = nextPc;
+    return taken || state_.halted;
 }
 
 RefStep
@@ -109,13 +250,11 @@ RefCore::step()
     }
 
     const linker::Slot *slot = image_->decode(state_.pc);
-    if (!slot) {
-        throw RefExecError("reference: undecodable pc " +
-                           hexAddr(state_.pc));
-    }
+    if (!slot)
+        throwUndecodable(state_.pc);
 
     RefStep st;
-    exec(*slot, st);
+    execT<true>(slot->inst, &st, state_.pc);
     return st;
 }
 
@@ -142,13 +281,12 @@ RefCore::runFast(std::uint64_t max_steps, Addr stop_pc)
             return r;
         }
         std::int32_t bi = image_->blockIndex(pc);
-        if (bi < 0) {
-            throw RefExecError("reference: undecodable pc " +
-                               hexAddr(pc));
-        }
-        // Chain blocks with pc held in a register. Blocks are
-        // copied by value and op pointers re-derived per iteration:
-        // building a successor can reallocate the arena.
+        if (bi < 0)
+            throwUndecodable(pc);
+        // Chain blocks with pc in a local (execT is inlined, so it
+        // stays in a register). Blocks are copied by value and op
+        // pointers re-derived per iteration: building a successor
+        // can reallocate the arena.
         while (true) {
             const linker::Image::Block b = image_->block(bi);
             const linker::Image::BlockOp *ops = image_->blockOps(b);
@@ -178,11 +316,8 @@ RefCore::runFast(std::uint64_t max_steps, Addr stop_pc)
                 std::int32_t succ = b.succFall;
                 if (succ < 0) {
                     succ = image_->blockIndex(pc);
-                    if (succ < 0) {
-                        throw RefExecError(
-                            "reference: undecodable pc " +
-                            hexAddr(pc));
-                    }
+                    if (succ < 0)
+                        throwUndecodable(pc);
                     image_->memoSuccFall(bi, succ);
                 }
                 bi = succ;
@@ -207,11 +342,8 @@ RefCore::runFast(std::uint64_t max_steps, Addr stop_pc)
                 std::int32_t succ = b.succFall;
                 if (succ < 0) {
                     succ = image_->blockIndex(pc);
-                    if (succ < 0) {
-                        throw RefExecError(
-                            "reference: undecodable pc " +
-                            hexAddr(pc));
-                    }
+                    if (succ < 0)
+                        throwUndecodable(pc);
                     image_->memoSuccFall(bi, succ);
                 }
                 bi = succ;
@@ -230,11 +362,8 @@ RefCore::runFast(std::uint64_t max_steps, Addr stop_pc)
                 std::int32_t succ = b.succTaken;
                 if (succ < 0) {
                     succ = image_->blockIndex(pc);
-                    if (succ < 0) {
-                        throw RefExecError(
-                            "reference: undecodable pc " +
-                            hexAddr(pc));
-                    }
+                    if (succ < 0)
+                        throwUndecodable(pc);
                     image_->memoSuccTaken(bi, succ);
                 }
                 bi = succ;
@@ -253,130 +382,6 @@ RefCore::runFast(std::uint64_t max_steps, Addr stop_pc)
     else if (state_.pc == linker::ResolverVa)
         r.stop = FastStop::Resolver;
     return r;
-}
-
-void
-RefCore::exec(const linker::Slot &slot, RefStep &st)
-{
-    Addr pc = state_.pc;
-    execT<true>(slot.inst, &st, pc);
-    state_.pc = pc;
-}
-
-template <bool Record>
-bool
-RefCore::execT(const isa::Instruction &inst, RefStep *st, Addr &pc)
-{
-    const Addr fallthrough = pc + inst.size;
-    auto &regs = state_.regs;
-    Addr nextPc = fallthrough;
-    bool taken = false;
-
-    const auto effAddr = [&]() -> Addr {
-        return inst.memBase == isa::NoReg
-                   ? static_cast<Addr>(inst.imm)
-                   : regs[inst.memBase] +
-                         static_cast<Addr>(inst.imm);
-    };
-    const auto store = [&](Addr addr, std::uint64_t value) {
-        if constexpr (Record) {
-            st->storeAddr = addr;
-            st->storeValue = value;
-            st->didStore = true;
-        }
-        write64(addr, value);
-    };
-
-    if constexpr (Record) {
-        st->pc = pc;
-        st->op = inst.op;
-    }
-
-    switch (inst.op) {
-      case isa::Opcode::Nop:
-        break;
-      case isa::Opcode::IntAlu: {
-        const std::uint64_t b = inst.src2 == isa::NoReg
-                                    ? static_cast<std::uint64_t>(
-                                          inst.imm)
-                                    : regs[inst.src2];
-        regs[inst.dst] = aluEval(inst.alu, regs[inst.src1], b);
-        break;
-      }
-      case isa::Opcode::MovImm:
-        regs[inst.dst] = static_cast<std::uint64_t>(inst.imm);
-        break;
-      case isa::Opcode::Load:
-        regs[inst.dst] = read64(effAddr());
-        break;
-      case isa::Opcode::Store:
-        store(effAddr(), regs[inst.src1]);
-        break;
-      case isa::Opcode::Push:
-        regs[isa::RegSp] -= 8;
-        store(regs[isa::RegSp], regs[inst.src1]);
-        break;
-      case isa::Opcode::PushImm:
-        regs[isa::RegSp] -= 8;
-        store(regs[isa::RegSp],
-              static_cast<std::uint64_t>(inst.imm));
-        break;
-      case isa::Opcode::Pop:
-        regs[inst.dst] = read64(regs[isa::RegSp]);
-        regs[isa::RegSp] += 8;
-        break;
-      case isa::Opcode::CallRel:
-      case isa::Opcode::CallIndReg:
-      case isa::Opcode::CallIndMem: {
-        if (inst.op == isa::Opcode::CallRel) {
-            nextPc = fallthrough + static_cast<Addr>(inst.imm);
-        } else if (inst.op == isa::Opcode::CallIndReg) {
-            nextPc = regs[inst.src1];
-        } else {
-            nextPc = read64(effAddr());
-        }
-        regs[isa::RegSp] -= 8;
-        store(regs[isa::RegSp], fallthrough);
-        taken = true;
-        break;
-      }
-      case isa::Opcode::JmpRel:
-        nextPc = fallthrough + static_cast<Addr>(inst.imm);
-        taken = true;
-        break;
-      case isa::Opcode::JmpIndReg:
-        nextPc = regs[inst.src1];
-        taken = true;
-        break;
-      case isa::Opcode::JmpIndMem:
-        nextPc = read64(effAddr());
-        taken = true;
-        break;
-      case isa::Opcode::CondBr:
-        if (condTaken(inst.cond, regs[inst.src1])) {
-            nextPc = fallthrough + static_cast<Addr>(inst.imm);
-            taken = true;
-        }
-        break;
-      case isa::Opcode::Ret:
-        nextPc = read64(regs[isa::RegSp]);
-        regs[isa::RegSp] += 8;
-        taken = true;
-        break;
-      case isa::Opcode::Halt:
-        state_.halted = true;
-        break;
-      case isa::Opcode::AbtbFlush:
-        // Architecturally a nop: the flush touches no visible state.
-        break;
-    }
-
-    if constexpr (Record) {
-        st->nextPc = nextPc;
-        st->taken = taken;
-    }
-    pc = nextPc;
-    return taken || state_.halted;
 }
 
 } // namespace dlsim::check

@@ -134,21 +134,23 @@ class RefCore
 
   private:
     mem::AddressSpace &space() { return direct_ ? *direct_ : *mem_; }
-    /** Execute `slot` at state().pc, filling `st` and advancing. */
-    void exec(const linker::Slot &slot, RefStep &st);
     /**
-     * exec() with the per-step record compiled out (Record=false)
-     * and the program counter threaded through `pc` instead of
-     * state_.pc: runFast keeps pc in a register across whole block
-     * chains, so the loop-carried dependency never round-trips
-     * through memory. Callers own the state_.pc sync.
+     * Execute `inst` at `pc`, advancing `pc`; step() fills the
+     * per-step record (Record=true), runFast compiles it out and
+     * threads a local pc through whole block chains (callers own
+     * the state_.pc sync). Force-inlined into both, so the
+     * loop-carried pc stays in a register; ALU ops are tested
+     * first and evaluated by select, without a jump table.
      * @return True for a taken transfer or a halt.
      */
     template <bool Record>
     bool execT(const isa::Instruction &inst, RefStep *st, Addr &pc);
 
-    std::uint64_t read64(Addr addr);
-    void write64(Addr addr, std::uint64_t value);
+    /** Inlined memory fast paths; a fault throws RefExecError
+     *  naming `addr` and the faulting instruction's `pc` from an
+     *  out-of-line cold function. */
+    std::uint64_t read64(Addr addr, Addr pc);
+    void write64(Addr addr, std::uint64_t value, Addr pc);
 
     const linker::Image *image_;
     std::unique_ptr<mem::AddressSpace> mem_;

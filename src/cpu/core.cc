@@ -23,6 +23,38 @@ hexAddr(Addr addr)
     return os.str();
 }
 
+/**
+ * The ALU result for AluKind index `kind` (the handler pair's
+ * index, (handler - AddRR) >> 1), by select: all seven results are
+ * computed and one is picked. Masked into the eight-entry table;
+ * handlerOf never yields an ALU handler past ShrRI.
+ */
+inline std::uint64_t
+aluSelect(unsigned kind, std::uint64_t a, std::uint64_t b)
+{
+    using linker::Handler;
+    static_assert(static_cast<int>(isa::AluKind::Add) == 0 &&
+                      static_cast<int>(isa::AluKind::Sub) == 1 &&
+                      static_cast<int>(isa::AluKind::And) == 2 &&
+                      static_cast<int>(isa::AluKind::Or) == 3 &&
+                      static_cast<int>(isa::AluKind::Xor) == 4 &&
+                      static_cast<int>(isa::AluKind::Mul) == 5 &&
+                      static_cast<int>(isa::AluKind::Shr) == 6 &&
+                      isa::LastAluKind == isa::AluKind::Shr,
+                  "aluSelect's table is in AluKind order");
+    static_assert(static_cast<int>(Handler::SubRR) ==
+                          static_cast<int>(Handler::AddRR) + 2 &&
+                      static_cast<int>(Handler::AddRI) ==
+                          static_cast<int>(Handler::AddRR) + 1 &&
+                      static_cast<int>(Handler::ShrRI) ==
+                          static_cast<int>(Handler::AddRR) + 13,
+                  "ALU handlers pair RR, RI per kind in AluKind order");
+    const std::uint64_t results[8] = {
+        a + b, a - b, a & b, a | b, a ^ b, a * b, a >> (b & 63), 0,
+    };
+    return results[kind & 7];
+}
+
 } // namespace
 
 Core::Core(const CoreParams &params)
@@ -300,53 +332,42 @@ Core::execBodyOp(const isa::Instruction &inst, linker::Handler handler,
     auto &regs = state_.regs;
     const auto imm = static_cast<std::uint64_t>(inst.imm);
 
+    // The 14 ALU handlers in one range test, then without a branch:
+    // operand b by select between a masked register load (an
+    // immediate form's NoReg reads some register harmlessly) and
+    // the immediate, the result by select from all seven. A jump
+    // table over the handlers mispredicts on the op mix.
+    const auto alu = static_cast<unsigned>(handler) -
+                     static_cast<unsigned>(Handler::AddRR);
+    if (alu <= static_cast<unsigned>(Handler::ShrRI) -
+                   static_cast<unsigned>(Handler::AddRR)) {
+        const std::uint64_t reg_b = regs[inst.src2 & (isa::NumRegs - 1)];
+        const std::uint64_t b = alu & 1 ? imm : reg_b;
+        regs[inst.dst] = aluSelect(alu >> 1, regs[inst.src1], b);
+        if (skipUnit_)
+            skipUnit_->retireOther();
+        return {};
+    }
+
     BodyEffect eff;
     // Memory ops set state_.pc first so a fault's diagnostic names
     // the faulting op (the unobserved block loop leaves it stale).
     switch (handler) {
       case Handler::Nop:
-        break;
-      case Handler::AddRR:
-        regs[inst.dst] = regs[inst.src1] + regs[inst.src2];
-        break;
+      case Handler::AddRR: // the ALU handlers: executed above
       case Handler::AddRI:
-        regs[inst.dst] = regs[inst.src1] + imm;
-        break;
       case Handler::SubRR:
-        regs[inst.dst] = regs[inst.src1] - regs[inst.src2];
-        break;
       case Handler::SubRI:
-        regs[inst.dst] = regs[inst.src1] - imm;
-        break;
       case Handler::AndRR:
-        regs[inst.dst] = regs[inst.src1] & regs[inst.src2];
-        break;
       case Handler::AndRI:
-        regs[inst.dst] = regs[inst.src1] & imm;
-        break;
       case Handler::OrRR:
-        regs[inst.dst] = regs[inst.src1] | regs[inst.src2];
-        break;
       case Handler::OrRI:
-        regs[inst.dst] = regs[inst.src1] | imm;
-        break;
       case Handler::XorRR:
-        regs[inst.dst] = regs[inst.src1] ^ regs[inst.src2];
-        break;
       case Handler::XorRI:
-        regs[inst.dst] = regs[inst.src1] ^ imm;
-        break;
       case Handler::MulRR:
-        regs[inst.dst] = regs[inst.src1] * regs[inst.src2];
-        break;
       case Handler::MulRI:
-        regs[inst.dst] = regs[inst.src1] * imm;
-        break;
       case Handler::ShrRR:
-        regs[inst.dst] = regs[inst.src1] >> (regs[inst.src2] & 63);
-        break;
       case Handler::ShrRI:
-        regs[inst.dst] = regs[inst.src1] >> (imm & 63);
         break;
       case Handler::MovImm:
         regs[inst.dst] = imm;

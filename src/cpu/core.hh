@@ -455,8 +455,9 @@ class Core
      * The one executor of the non-control opcodes (everything a
      * block body holds, plus Halt), shared by the per-instruction
      * loop and both block loops: demand-paged text touch, the
-     * architectural effect (one switch on the op's fused handler,
-     * linker::handlerOf(inst)), and the skip unit's store-snoop/
+     * architectural effect (by the op's fused handler,
+     * linker::handlerOf(inst): ALU results by select, the rest by
+     * switch), and the skip unit's store-snoop/
      * retire hook. Fetch, issue and retire counting stay with the
      * caller: per op in retireBodyOp, batched in the unobserved
      * block loop.

@@ -86,7 +86,9 @@ constexpr std::uint16_t NoPltIndex = 0xffff;
  * ops, the ALU kind and whether the second operand is a register
  * (RR) or the immediate (RI), and, for loads and stores, whether
  * the address is base-relative or absolute. cpu::Core's body-op
- * executor is one switch on it. Every control transfer maps to
+ * executor selects the ALU handlers' results by index (kind from
+ * (handler - AddRR) >> 1, operand form from its low bit) and
+ * switches on the rest. Every control transfer maps to
  * Control: those are executed by the core's control path, never
  * as a body op. check::RefCore deliberately decodes the opcode
  * itself, so a mapping bug here shows up as a lockstep divergence.
