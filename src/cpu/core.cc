@@ -57,8 +57,8 @@ aluSelect(unsigned kind, std::uint64_t a, std::uint64_t b)
 
 } // namespace
 
-Core::Core(const CoreParams &params)
-    : params_(params), hierarchy_(params.mem),
+Core::Core(const CoreParams &params, bool for_restore)
+    : params_(params), hierarchy_(params.mem, for_restore),
       predictor_(params.predictor)
 {
     dataLineShift_ = static_cast<std::uint32_t>(

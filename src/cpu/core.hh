@@ -192,7 +192,11 @@ struct CoreParams
 class Core
 {
   public:
-    explicit Core(const CoreParams &params = {});
+    /** @param for_restore The core is about to be overwritten by
+     *         load(): its caches skip zero-filling the arrays that
+     *         load() writes (see mem::Cache::Cache). */
+    explicit Core(const CoreParams &params = {},
+                  bool for_restore = false);
 
     /** @name Process attachment @{ */
     /** Attach (without flushing) — initial program placement. */

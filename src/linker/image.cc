@@ -26,33 +26,64 @@ endsBlock(isa::Opcode op)
     return isa::isControl(op) || op == isa::Opcode::Halt;
 }
 
-/** Mix a va into a well-distributed hash (vas are structured). */
-inline std::uint64_t
-vaHash(Addr va)
-{
-    std::uint64_t h = va * 0x9e3779b97f4a7c15ull;
-    return h ^ (h >> 29);
-}
-
 /** Snapshot record of one slot: u64 va, u8 flags, u16 moduleId, u16
  *  pltIndex, eight u8 instruction fields, i64 imm. */
 constexpr std::size_t SlotWireBytes = 29;
 
 } // namespace
 
-Image::Image() : as_(std::make_unique<mem::AddressSpace>()) {}
-
-std::uint32_t
-Image::findSlot(Addr va) const
+void
+CodeIndex::reset(std::uint64_t capacity)
 {
-    std::uint64_t i = vaHash(va) & indexMask_;
-    while (true) {
-        const std::uint32_t v = indexVals_[i];
-        if (v == NoSlot || indexKeys_[i] == va)
-            return v;
-        i = (i + 1) & indexMask_;
-    }
+    mask_ = capacity - 1;
+    keys_.assign(capacity, 0);
+    vals_.assign(capacity, None);
 }
+
+void
+CodeIndex::insert(Addr va, std::uint32_t slot)
+{
+    std::uint64_t i = hash(va) & mask_;
+    while (vals_[i] != None) {
+        if (keys_[i] == va)
+            return;
+        i = (i + 1) & mask_;
+    }
+    keys_[i] = va;
+    vals_[i] = slot;
+}
+
+void
+CodeIndex::erase(Addr va, std::uint32_t slot)
+{
+    std::uint64_t hole = hash(va) & mask_;
+    while (true) {
+        if (vals_[hole] == None)
+            return;
+        if (keys_[hole] == va)
+            break;
+        hole = (hole + 1) & mask_;
+    }
+    if (vals_[hole] != slot)
+        return;
+    // Backward shift: walk the rest of the cluster and move back
+    // into the hole every entry whose home bucket does not lie
+    // cyclically in (hole, j] — a probe for it would start at or
+    // before the hole and must not meet an empty bucket there.
+    for (std::uint64_t j = (hole + 1) & mask_; vals_[j] != None;
+         j = (j + 1) & mask_) {
+        const std::uint64_t home = hash(keys_[j]) & mask_;
+        if (((j - home) & mask_) < ((j - hole) & mask_))
+            continue; // home in (hole, j]: reachable as is
+        keys_[hole] = keys_[j];
+        vals_[hole] = vals_[j];
+        hole = j;
+    }
+    keys_[hole] = 0;
+    vals_[hole] = None;
+}
+
+Image::Image() : as_(std::make_unique<mem::AddressSpace>()) {}
 
 const Slot *
 Image::decode(Addr va) const
@@ -84,7 +115,7 @@ std::int32_t
 Image::blockIndex(Addr head) const
 {
     if (blockMask_ != 0) {
-        std::uint64_t i = vaHash(head) & blockMask_;
+        std::uint64_t i = CodeIndex::hash(head) & blockMask_;
         while (blockVals_[i] != BlockEmpty) {
             if (blockKeys_[i] == head) {
                 ++blockHits_;
@@ -168,7 +199,7 @@ Image::buildBlock(Addr head) const
 void
 Image::blockTableInsert(Addr va, std::int32_t index) const
 {
-    std::uint64_t i = vaHash(va) & blockMask_;
+    std::uint64_t i = CodeIndex::hash(va) & blockMask_;
     while (blockVals_[i] != BlockEmpty)
         i = (i + 1) & blockMask_;
     blockKeys_[i] = va;
@@ -330,30 +361,35 @@ Image::indexSlots()
     invalidateBlocks();
     // Capacity 2x every slot ever added keeps the load factor
     // <= 0.5; closed modules' slots stay in slots_ but not here.
-    const std::uint64_t capacity = std::bit_ceil(
-        std::max<std::uint64_t>(16, 2 * slots_.size()));
-    indexMask_ = capacity - 1;
-    indexKeys_.assign(capacity, 0);
-    indexVals_.assign(capacity, NoSlot);
+    index_.reset(std::bit_ceil(
+        std::max<std::uint64_t>(16, 2 * slots_.size())));
     for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-        const Slot &s = slots_[i];
-        if (!modules_[s.moduleId].loaded)
-            continue;
-        std::uint64_t j = vaHash(s.va) & indexMask_;
-        while (indexVals_[j] != NoSlot && indexKeys_[j] != s.va)
-            j = (j + 1) & indexMask_;
-        if (indexVals_[j] == NoSlot) { // first loaded slot wins
-            indexKeys_[j] = s.va;
-            indexVals_[j] = i;
-        }
+        if (modules_[slots_[i].moduleId].loaded)
+            index_.insert(slots_[i].va, i);
     }
+}
+
+void
+Image::indexModuleSlots(std::uint16_t module_id)
+{
+    if (2 * slots_.size() > index_.capacity()) {
+        indexSlots();
+        return;
+    }
+    invalidateBlocks();
+    const LoadedModule &lm = modules_[module_id];
+    for (std::uint32_t i = lm.slotBegin; i < lm.slotEnd; ++i)
+        index_.insert(slots_[i].va, i);
 }
 
 void
 Image::removeModuleSlots(std::uint16_t module_id)
 {
-    modules_[module_id].loaded = false;
-    indexSlots();
+    invalidateBlocks();
+    LoadedModule &lm = modules_[module_id];
+    lm.loaded = false;
+    for (std::uint32_t i = lm.slotBegin; i < lm.slotEnd; ++i)
+        index_.erase(slots_[i].va, i);
 }
 
 
@@ -419,7 +455,9 @@ Image::load(snapshot::Deserializer &d)
         return r >= isa::NumRegs && r != isa::NoReg;
     };
     const std::uint8_t *p = d.raw(slots_.size() * SlotWireBytes);
-    for (Slot &slot : slots_) {
+    std::size_t owner = 0; // module whose slot range holds the slot
+    for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+        Slot &slot = slots_[i];
         slot.va = snapshot::le64(p);
         slot.flags = p[8];
         slot.moduleId = snapshot::le16(p + 9);
@@ -442,7 +480,12 @@ Image::load(snapshot::Deserializer &d)
         if (bad_reg(in.dst) || bad_reg(in.src1) || bad_reg(in.src2) ||
             bad_reg(in.memBase))
             d.fail("slot register out of range");
-        if (slot.moduleId >= modules_.size() ||
+        // A slot belongs to the module whose range holds it, so
+        // dlclose's range erase and indexSlots() agree on it.
+        while (owner < modules_.size() &&
+               modules_[owner].slotEnd <= i)
+            ++owner;
+        if (owner == modules_.size() || slot.moduleId != owner ||
             (slot.pltIndex != NoPltIndex &&
              slot.pltIndex >=
                  modules_[slot.moduleId].module.imports().size()))

@@ -203,6 +203,10 @@ struct LoadedModule
     std::vector<Addr> pltEntryVas;  ///< Per import: trampoline addr.
     std::vector<Addr> gotSlotAddrs; ///< Per import: GOTPLT slot addr.
     bool loaded = true;
+    /** The module's slots: Image::slots_[slotBegin, slotEnd). The
+     *  loader emits them contiguously when it places the module. */
+    std::uint32_t slotBegin = 0;
+    std::uint32_t slotEnd = 0;
     /** Byte offset from a PLT entry to its lazy re-entry push. */
     std::uint32_t lazyEntryOffset = 6;
     /** Stride between PLT entries for this module. */
@@ -216,13 +220,66 @@ struct LoadedModule
 };
 
 /**
+ * The code index: an open-addressed (linear probing) va -> slot
+ * number table. No tombstones: erase() closes the gap by backward-
+ * shift deletion, so a probe still stops at the first empty bucket.
+ * The owner keeps the load factor <= 0.5 (Image re-sizes through
+ * reset() before an insert could pass it). The initial one-bucket
+ * table answers "absent" until the first reset().
+ */
+class CodeIndex
+{
+  public:
+    /** find()'s answer for an absent va. */
+    static constexpr std::uint32_t None = 0xffffffffu;
+
+    /** Mix a va into a well-distributed hash (vas are structured). */
+    static std::uint64_t
+    hash(Addr va)
+    {
+        const std::uint64_t h = va * 0x9e3779b97f4a7c15ull;
+        return h ^ (h >> 29);
+    }
+
+    /** Slot number mapped at va, or None. */
+    std::uint32_t
+    find(Addr va) const
+    {
+        std::uint64_t i = hash(va) & mask_;
+        while (true) {
+            const std::uint32_t v = vals_[i];
+            if (v == None || keys_[i] == va)
+                return v;
+            i = (i + 1) & mask_;
+        }
+    }
+
+    /** Empty the table at `capacity` buckets (a power of two). */
+    void reset(std::uint64_t capacity);
+    /** Map va to slot unless va is mapped already: the first slot
+     *  inserted for a va wins. */
+    void insert(Addr va, std::uint32_t slot);
+    /** Unmap va if it maps to `slot`. */
+    void erase(Addr va, std::uint32_t slot);
+
+    std::uint64_t capacity() const { return mask_ + 1; }
+
+  private:
+    std::vector<Addr> keys_{0};
+    std::vector<std::uint32_t> vals_{None};
+    std::uint64_t mask_ = 0;
+};
+
+/**
  * A loaded process image.
  *
- * Owns the address space, the loaded modules, and the code index:
- * one open-addressed va -> slot table over every loaded slot, rebuilt
- * wholesale by indexSlots() whenever the loaded set changes. Decode,
- * block building and the trampoline census all probe it. The only
- * other va-keyed table is the block cache's head table (below).
+ * Owns the address space, the loaded modules, and the code index
+ * over every loaded slot. A dlopen inserts only the new module's
+ * slots and a dlclose erases only the closing module's; loads,
+ * restores, dlmopen and table growth rebuild it wholesale with
+ * indexSlots(). Decode, block building and the trampoline census
+ * all probe it. The only other va-keyed table is the block cache's
+ * head table (below).
  * Construction is performed by Loader; runtime symbol binding by
  * DynamicLinker; execution by cpu::Core.
  */
@@ -370,9 +427,10 @@ class Image
 
     /**
      * Drop every cached block and bump the generation. Wired into
-     * decodeMutable() (software patcher) and indexSlots()
-     * (dlopen/dlclose/snapshot restore); see the class comment for
-     * why GOT rebinds are exempt.
+     * decodeMutable() (software patcher), indexSlots() (load,
+     * dlmopen, snapshot restore), indexModuleSlots() (dlopen) and
+     * removeModuleSlots() (dlclose); see the class comment for why
+     * GOT rebinds are exempt.
      */
     void invalidateBlocks();
 
@@ -465,15 +523,25 @@ class Image
     /** Rebuild the code index from every loaded slot; the first
      *  loaded slot for a va wins. */
     void indexSlots();
-    /** Drop a module's slots from the code index (dlclose). */
+    /**
+     * Add one just-placed module's slots to the code index (dlopen),
+     * where their vas are absent. The same answers as indexSlots():
+     * loaded modules never overlap (the loader places them apart
+     * and AddressSpace::map asserts it), so a new slot can share a
+     * va only with a closed module's slot, and closed modules are
+     * not in the index. Rebuilds wholesale when the table would
+     * pass load factor 0.5.
+     */
+    void indexModuleSlots(std::uint16_t module_id);
+    /** Mark a module closed and erase its slots from the code index
+     *  (dlclose). */
     void removeModuleSlots(std::uint16_t module_id);
     /** @} */
 
   private:
-    /** Empty sentinel of the code index's value array. */
-    static constexpr std::uint32_t NoSlot = 0xffffffffu;
+    static constexpr std::uint32_t NoSlot = CodeIndex::None;
     /** slots_ index of the loaded slot at va; NoSlot if none. */
-    std::uint32_t findSlot(Addr va) const;
+    std::uint32_t findSlot(Addr va) const { return index_.find(va); }
 
     /** Walk slots from `head`, append a new block; -1 when `head`
      *  is not in the code index. */
@@ -486,15 +554,8 @@ class Image
     std::vector<LoadedModule> modules_;
     std::vector<Slot> slots_;
 
-    /**
-     * The code index: open-addressed (linear probing) va -> slots_
-     * index, load factor <= 0.5. No tombstones: indexSlots() is the
-     * only writer. The one-entry initial table answers "absent"
-     * until the first indexSlots().
-     */
-    std::vector<Addr> indexKeys_{0};
-    std::vector<std::uint32_t> indexVals_{NoSlot};
-    std::uint64_t indexMask_ = 0;
+    /** va -> slots_ index of every loaded slot. */
+    CodeIndex index_;
     mutable std::uint64_t decodeHits_ = 0;
     mutable std::uint64_t decodeMisses_ = 0;
 

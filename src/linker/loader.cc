@@ -173,7 +173,7 @@ Loader::dlopen(Image &image, elf::Module lib,
     // A restore skeleton replays layout only (see dlclose).
     if (options_.skeletonForRestore)
         return id;
-    image.indexSlots();
+    image.indexModuleSlots(id);
     relocateModule(image, id);
     bindModule(image, id);
     if (got_write_hook) {
@@ -393,7 +393,8 @@ Loader::placeModule(Image &image, std::uint16_t module_id)
                  alignUp(mod.dataSize(), mem::PageBytes) +
                  mem::PageBytes; // guard page
 
-    // Emit decode slots: function bodies first.
+    // Emit decode slots, contiguously: function bodies first.
+    lm.slotBegin = static_cast<std::uint32_t>(image.slots_.size());
     for (std::size_t i = 0; i < mod.functions().size(); ++i) {
         const auto &fn = mod.functions()[i];
         for (std::size_t j = 0; j < fn.code.size(); ++j) {
@@ -476,6 +477,7 @@ Loader::placeModule(Image &image, std::uint16_t module_id)
                    static_cast<std::int64_t>(va + back.size);
         emit(va, back, FlagPlt, k);
     }
+    lm.slotEnd = static_cast<std::uint32_t>(image.slots_.size());
 }
 
 void

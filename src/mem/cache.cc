@@ -3,6 +3,10 @@
 #include <bit>
 #include <cassert>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 #include "snapshot/serializer.hh"
 #include "stats/metrics.hh"
 
@@ -16,9 +20,24 @@ namespace
  *  lastUse — the packed key decomposed into its fields. */
 constexpr std::size_t WayWireBytes = 19;
 
+/** Mark [p, p+bytes) unreadable (poison) or readable again in the
+ *  AddressSanitizer build; no-ops otherwise. */
+void
+poison([[maybe_unused]] const void *p, [[maybe_unused]] std::size_t bytes,
+       [[maybe_unused]] bool on)
+{
+#if defined(__SANITIZE_ADDRESS__)
+    if (on)
+        __asan_poison_memory_region(p, bytes);
+    else
+        __asan_unpoison_memory_region(p, bytes);
+#endif
+}
+
 } // namespace
 
-Cache::Cache(const CacheParams &params) : params_(params)
+Cache::Cache(const CacheParams &params, bool for_restore)
+    : params_(params)
 {
     assert(params_.lineBytes > 0 &&
            std::has_single_bit(params_.lineBytes));
@@ -33,8 +52,21 @@ Cache::Cache(const CacheParams &params) : params_(params)
     if (assocPow2_)
         assocShift_ = static_cast<std::uint32_t>(
             std::countr_zero(params_.assoc));
-    ways_.resize(numSets_ * params_.assoc);
-    mruWay_.assign(numSets_, 0);
+    numWays_ = numSets_ * params_.assoc;
+    // A restore target's load() writes every element of both
+    // arrays; a 12 MB LLC is 3 MB of ways, so zeroing them first is
+    // real work. Until load() runs they are poisoned: a read is a
+    // bug.
+    ways_ = for_restore ? std::make_unique_for_overwrite<Way[]>(numWays_)
+                        : std::make_unique<Way[]>(numWays_);
+    mruWay_ = for_restore
+                  ? std::make_unique_for_overwrite<std::uint32_t[]>(
+                        numSets_)
+                  : std::make_unique<std::uint32_t[]>(numSets_);
+    if (for_restore) {
+        poison(ways_.get(), numWays_ * sizeof(Way), true);
+        poison(mruWay_.get(), numSets_ * sizeof(std::uint32_t), true);
+    }
 }
 
 Cache::Way *
@@ -78,7 +110,7 @@ Cache::fill(Way *victim, std::uint64_t line, std::uint16_t asid)
     victim->lastUse = tick_;
     // The filled line is the set's next likely hit.
     const std::size_t slot = static_cast<std::size_t>(
-        victim - ways_.data());
+        victim - ways_.get());
     mruWay_[slot / params_.assoc] =
         static_cast<std::uint32_t>(slot % params_.assoc);
 }
@@ -156,7 +188,7 @@ void
 Cache::invalidateAll()
 {
     lastWay_ = nullptr;
-    for (auto &way : ways_)
+    for (Way &way : ways())
         way.key &= ~std::uint64_t{1};
 }
 
@@ -200,14 +232,14 @@ Cache::save(snapshot::Serializer &s) const
     s.u64(misses_);
     s.u64(prefetches_);
     s.u64(evictions_);
-    s.records(ways_, WayWireBytes, [](std::uint8_t *p, const Way &w) {
+    s.records(ways(), WayWireBytes, [](std::uint8_t *p, const Way &w) {
         snapshot::putLe64(p, w.key >> 17);
         snapshot::putLe16(p + 8,
                           static_cast<std::uint16_t>(w.key >> 1));
         p[10] = static_cast<std::uint8_t>(w.key & 1);
         snapshot::putLe64(p + 11, w.lastUse);
     });
-    s.records(mruWay_, 4, [](std::uint8_t *p, std::uint32_t m) {
+    s.records(mruWays(), 4, [](std::uint8_t *p, std::uint32_t m) {
         snapshot::putLe32(p, m);
     });
     s.endStruct();
@@ -232,8 +264,9 @@ Cache::load(snapshot::Deserializer &d)
     // Bulk-unpack the way array: a sweep restores tens of
     // thousands of ways per arm, so per-field bounds-checked reads
     // would be measurable restore cost.
-    const std::uint8_t *p = d.raw(ways_.size() * WayWireBytes);
-    for (Way &w : ways_) {
+    const std::uint8_t *p = d.raw(numWays_ * WayWireBytes);
+    poison(ways_.get(), numWays_ * sizeof(Way), false);
+    for (Way &w : ways()) {
         w.key = (snapshot::le64(p) << 17) |
                 (static_cast<std::uint64_t>(snapshot::le16(p + 8))
                  << 1) |
@@ -241,8 +274,9 @@ Cache::load(snapshot::Deserializer &d)
         w.lastUse = snapshot::le64(p + 11);
         p += WayWireBytes;
     }
-    p = d.raw(mruWay_.size() * 4);
-    for (std::uint32_t &m : mruWay_) {
+    p = d.raw(numSets_ * 4);
+    poison(mruWay_.get(), numSets_ * sizeof(std::uint32_t), false);
+    for (std::uint32_t &m : mruWays()) {
         m = snapshot::le32(p);
         p += 4;
     }

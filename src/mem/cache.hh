@@ -15,8 +15,9 @@
 #define DLSIM_MEM_CACHE_HH
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "isa/instruction.hh"
 
@@ -53,7 +54,15 @@ struct CacheParams
 class Cache
 {
   public:
-    explicit Cache(const CacheParams &params);
+    /**
+     * @param for_restore The cache is about to be overwritten by
+     *        load(), which writes every way and MRU entry: leave
+     *        them uninitialised instead of zero-filling megabytes
+     *        that load() replaces. Such a cache must not be used
+     *        before load(); the sanitizer build poisons its arrays
+     *        until then.
+     */
+    explicit Cache(const CacheParams &params, bool for_restore = false);
 
     /**
      * One way, packed to 16 bytes so an 8-way set scan touches two
@@ -64,12 +73,15 @@ class Cache
      * never truncates. The snapshot wire format is unchanged — the
      * serializer decomposes the key into the original fields.
      * Public only as an opaque handle for the verified-touch API;
-     * the storage itself stays private.
+     * the storage itself stays private. Trivial (no member
+     * initialisers), so a restore target can allocate the array
+     * without writing it; the constructor value-initialises it
+     * otherwise.
      */
     struct Way
     {
-        std::uint64_t key = 0;
-        std::uint64_t lastUse = 0;
+        std::uint64_t key;
+        std::uint64_t lastUse;
     };
 
     /**
@@ -189,9 +201,9 @@ class Cache
      * holds a Way pointer captured from an arbitrarily old access
      * (lastWayPtr()), and wayHolds() re-verifies it by key compare
      * before any state is touched. The pointer can never dangle —
-     * ways_ is sized once and never reallocates — so staleness just
-     * fails the compare. When it succeeds, the way genuinely holds
-     * (line, asid) right now: a real access() would hit exactly
+     * ways_ is allocated once and never reallocates — so staleness
+     * just fails the compare. When it succeeds, the way genuinely
+     * holds (line, asid) right now: a real access() would hit exactly
      * this way (a key is held by at most one way, since fills only
      * happen after a scan found no match) and perform exactly
      * touchAt()'s updates — including leaving mruWay_ pointing at
@@ -221,7 +233,7 @@ class Cache
         ++hits_;
         lastWay_ = w;
         const std::size_t slot =
-            static_cast<std::size_t>(w - ways_.data());
+            static_cast<std::size_t>(w - ways_.get());
         mruWay_[slot >> assocShift_] =
             static_cast<std::uint32_t>(slot & (params_.assoc - 1));
     }
@@ -294,6 +306,13 @@ class Cache
         return static_cast<std::size_t>(line % numSets_);
     }
 
+    /** The way and MRU arrays as ranges (whole-array passes). */
+    std::span<Way> ways() const { return {ways_.get(), numWays_}; }
+    std::span<std::uint32_t> mruWays() const
+    {
+        return {mruWay_.get(), numSets_};
+    }
+
     CacheParams params_;
     std::uint32_t lineShift_;
     std::uint64_t numSets_;
@@ -303,7 +322,8 @@ class Cache
      *  API on. */
     std::uint32_t assocShift_ = 0;
     bool assocPow2_ = false;
-    std::vector<Way> ways_; // numSets * assoc, set-major.
+    std::size_t numWays_;
+    std::unique_ptr<Way[]> ways_; // numSets * assoc, set-major.
     /**
      * Most-recently-used way per set: the fetch stream touches the
      * same line for several consecutive instructions, so a single
@@ -312,7 +332,7 @@ class Cache
      * lookup accelerator — hit/miss/LRU/eviction behaviour (and so
      * every counter) is identical with or without it.
      */
-    std::vector<std::uint32_t> mruWay_;
+    std::unique_ptr<std::uint32_t[]> mruWay_;
     /**
      * Way the last demand access() resolved to (hit or fill), for
      * touchRepeat(). Transient lookup state like mruWay_, but not

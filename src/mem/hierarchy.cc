@@ -1,14 +1,22 @@
 #include "mem/hierarchy.hh"
 
+#include <bit>
+
 #include "snapshot/serializer.hh"
 
 namespace dlsim::mem
 {
 
-Hierarchy::Hierarchy(const HierarchyParams &params)
-    : params_(params), l1i_(params.l1i), l1d_(params.l1d),
-      l2_(params.l2), l3_(params.l3), itlb_(params.itlb),
-      dtlb_(params.dtlb)
+Hierarchy::Hierarchy(const HierarchyParams &params, bool for_restore)
+    : params_(params),
+      snoopFilterOn_(params.l1d.lineBytes == params.l2.lineBytes &&
+                     params.l2.lineBytes == params.l3.lineBytes),
+      snoopShift_(static_cast<std::uint32_t>(
+          std::countr_zero(params.l1d.lineBytes))),
+      absentLines_(SnoopFilterEntries, NoLine),
+      l1i_(params.l1i, for_restore), l1d_(params.l1d, for_restore),
+      l2_(params.l2, for_restore), l3_(params.l3, for_restore),
+      itlb_(params.itlb), dtlb_(params.dtlb)
 {
 }
 
@@ -22,9 +30,17 @@ Hierarchy::flushTlbs()
 void
 Hierarchy::invalidateDataLine(Addr addr)
 {
+    std::uint64_t &absent = absentLines_[snoopSlot(addr)];
+    const std::uint64_t line = addr >> snoopShift_;
+    if (absent == line) {
+        ++filteredSnoops_;
+        return;
+    }
     l1d_.invalidateLineAllAsids(addr);
     l2_.invalidateLineAllAsids(addr);
     l3_.invalidateLineAllAsids(addr);
+    if (snoopFilterOn_)
+        absent = line;
 }
 
 void
@@ -55,6 +71,8 @@ Hierarchy::load(snapshot::Deserializer &d)
     l3_.load(d);
     itlb_.load(d);
     dtlb_.load(d);
+    // The filter's facts were about the replaced contents.
+    absentLines_.assign(SnoopFilterEntries, NoLine);
 }
 
 void

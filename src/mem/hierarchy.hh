@@ -13,6 +13,7 @@
 #define DLSIM_MEM_HIERARCHY_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "mem/cache.hh"
 #include "mem/tlb.hh"
@@ -62,7 +63,10 @@ struct AccessResult
 class Hierarchy
 {
   public:
-    explicit Hierarchy(const HierarchyParams &params = {});
+    /** @param for_restore Build the caches for a load() that
+     *         overwrites them (see Cache::Cache). */
+    explicit Hierarchy(const HierarchyParams &params = {},
+                       bool for_restore = false);
 
     /** Fetch of the instruction at addr. */
     AccessResult
@@ -192,10 +196,31 @@ class Hierarchy
     /** Context-switch without ASID support: flush both TLBs. */
     void flushTlbs();
 
-    /** Coherence write-invalidate from another core: drop the line
-     *  from the data-side caches in every address space (a physical
-     *  snoop cannot know which ASIDs map the line). */
+    /**
+     * Coherence write-invalidate from another core: drop the line
+     * from the data-side caches in every address space (a physical
+     * snoop cannot know which ASIDs map the line).
+     *
+     * Exact snoop filter: a direct-mapped table of lines known to be
+     * absent from L1D, L2 and L3 in every ASID. A line is recorded
+     * after a scan (which leaves it absent everywhere) and forgotten
+     * when any of the three levels may fill it, which only happens
+     * past an L1 miss in accessThrough(). A snoop that hits the
+     * table returns without touching a cache: the scan would have
+     * found nothing, so it would have changed nothing either, and
+     * the per-cache touchRepeat() precondition ("nothing invalidated
+     * the way since") still holds, so the caches' repeat pointers
+     * stay as they are. Off when the three levels' line sizes
+     * differ.
+     */
     void invalidateDataLine(Addr addr);
+
+    /** Direct-mapped entries of the snoop filter. */
+    static constexpr std::size_t SnoopFilterEntries = 4096;
+
+    /** Snoops the filter answered without a scan (host-side count,
+     *  not checkpointed). */
+    std::uint64_t filteredSnoops() const { return filteredSnoops_; }
 
     /** Targeted invalidation of one address space's copy, e.g. when
      *  this core observes a store to a GOT slot it caches. */
@@ -249,6 +274,11 @@ class Hierarchy
         res.l1Hit = l1.access(addr, asid);
         if (res.l1Hit)
             return res;
+        // L1, L2 and L3 fill only past an L1 miss: the line may no
+        // longer be absent from the data side.
+        std::uint64_t &absent = absentLines_[snoopSlot(addr)];
+        if (absent == (addr >> snoopShift_))
+            absent = NoLine;
         res.l2Hit = l2_.access(addr, asid);
         if (!res.l2Hit) {
             res.l3Hit = l3_.access(addr, asid);
@@ -261,7 +291,24 @@ class Hierarchy
         return res;
     }
 
+    /** absentLines_ value of an empty entry (no line is ~0). */
+    static constexpr std::uint64_t NoLine = ~std::uint64_t{0};
+
+    std::size_t
+    snoopSlot(Addr addr) const
+    {
+        return static_cast<std::size_t>(addr >> snoopShift_) &
+               (SnoopFilterEntries - 1);
+    }
+
     HierarchyParams params_;
+    /** L1D/L2/L3 share one line size: the snoop filter is on. */
+    bool snoopFilterOn_;
+    std::uint32_t snoopShift_;
+    /** Snoop filter: per slot, a line absent from L1D, L2 and L3
+     *  in every ASID, or NoLine. Derived state: load() clears it. */
+    std::vector<std::uint64_t> absentLines_;
+    std::uint64_t filteredSnoops_ = 0;
     Cache l1i_;
     Cache l1d_;
     Cache l2_;

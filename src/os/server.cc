@@ -329,7 +329,7 @@ Server::Server(workload::Workbench &wb,
                const ServerParams &params)
     : wb_(wb), params_(params),
       sys_(mc_params, wb.image(), wb.linker(),
-           wb.loader().stackTop()),
+           wb.loader().stackTop(), wb.awaitingRestore()),
       kernel_(params.kernel, sys_, wb.image(), wb.linker())
 {
     assert(params_.workers >= 1 && params_.clients >= 1 &&

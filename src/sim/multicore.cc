@@ -11,7 +11,8 @@ namespace dlsim::sim
 MultiCoreSystem::MultiCoreSystem(const MultiCoreParams &params,
                                  linker::Image &image,
                                  linker::DynamicLinker &linker,
-                                 isa::Addr main_stack_top)
+                                 isa::Addr main_stack_top,
+                                 bool for_restore)
     : params_(params), image_(image)
 {
     assert(params_.numCores >= 1);
@@ -31,7 +32,8 @@ MultiCoreSystem::MultiCoreSystem(const MultiCoreParams &params,
             mem::PermRead | mem::PermWrite, mem::RegionKind::Stack,
             "tstack" + std::to_string(i));
 
-        auto core = std::make_unique<cpu::Core>(params_.core);
+        auto core =
+            std::make_unique<cpu::Core>(params_.core, for_restore);
         core->attachProcess(&image_, &linker, /*asid=*/0);
         cores_.push_back(std::move(core));
 

@@ -62,11 +62,14 @@ class MultiCoreSystem
     /**
      * @param main_stack_top Top of the process's stack region;
      *        thread stacks are allocated downward from it.
+     * @param for_restore The cores are about to be overwritten by
+     *        load() (see cpu::Core::Core).
      */
     MultiCoreSystem(const MultiCoreParams &params,
                     linker::Image &image,
                     linker::DynamicLinker &linker,
-                    isa::Addr main_stack_top);
+                    isa::Addr main_stack_top,
+                    bool for_restore = false);
 
     std::uint32_t numCores() const
     {

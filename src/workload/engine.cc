@@ -205,7 +205,7 @@ Workbench::Workbench(const WorkloadParams &wl,
                      std::shared_ptr<const BuiltProgram> program,
                      bool for_restore)
     : wl_(wl), mc_(mc), program_(std::move(program)),
-      reqRng_(wl.seed ^ 0x5eedull)
+      reqRng_(wl.seed ^ 0x5eedull), awaitingRestore_(for_restore)
 {
     assert(program_ != nullptr);
     linker::LoaderOptions opts;
@@ -219,7 +219,8 @@ Workbench::Workbench(const WorkloadParams &wl,
 
     image_ = loader_->load(program_->exe, program_->libs);
     linker_ = std::make_unique<linker::DynamicLinker>(*image_);
-    core_ = std::make_unique<cpu::Core>(makeCoreParams(mc));
+    core_ = std::make_unique<cpu::Core>(makeCoreParams(mc),
+                                        for_restore);
     core_->attachProcess(image_.get(), linker_.get(), /*asid=*/0);
     core_->initStack(loader_->stackTop());
 
@@ -438,6 +439,7 @@ Workbench::load(snapshot::Deserializer &d)
     d.enterSection("workbench");
     reqRng_.load(d);
     d.leaveSection();
+    awaitingRestore_ = false;
 }
 
 void

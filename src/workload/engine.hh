@@ -203,6 +203,12 @@ class Workbench
     void save(snapshot::Serializer &s) const;
     void load(snapshot::Deserializer &d);
 
+    /** Built for_restore and not yet load()ed: its state, caches
+     *  included, is unset until the restore. Machines built over it
+     *  to be restored alongside (os::Server's cores) skip the same
+     *  zero-fill. */
+    bool awaitingRestore() const { return awaitingRestore_; }
+
     /**
      * Re-target this (typically just-restored) arm at a sweep
      * configuration: timing scalars are overridden and the skip
@@ -229,6 +235,7 @@ class Workbench
     std::vector<isa::Addr> handlerAddrs_;
     stats::Rng reqRng_;
     std::unique_ptr<stats::DiscreteDistribution> mix_;
+    bool awaitingRestore_;
 };
 
 /**

@@ -1,12 +1,16 @@
 /**
  * @file
  * Unit tests for the set-associative cache model: hit/miss
- * behaviour, LRU replacement, ASID isolation, and geometry sweeps.
+ * behaviour, LRU replacement, ASID isolation, geometry sweeps, and
+ * restore targets built without zero-filled arrays.
  */
+
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mem/cache.hh"
+#include "snapshot/serializer.hh"
 
 using namespace dlsim::mem;
 
@@ -301,3 +305,54 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, CacheVsReference,
     ::testing::Values(Geometry{1024, 1}, Geometry{1024, 2},
                       Geometry{4096, 4}, Geometry{32 * 1024, 8}));
+
+namespace
+{
+
+std::vector<std::uint8_t>
+savedCache(const Cache &c)
+{
+    return dlsim::snapshot::serialize(
+        0, [&](dlsim::snapshot::Serializer &s) {
+            s.beginSection("c");
+            c.save(s);
+            s.endSection();
+        });
+}
+
+} // namespace
+
+TEST(Cache, RestoreTargetLoadsEveryByte)
+{
+    Cache warm(CacheParams{"c", 4096, 4, 64});
+    dlsim::stats::Rng rng(5);
+    for (int i = 0; i < 500; ++i)
+        warm.access(rng.nextBelow(1 << 12) * 64,
+                    static_cast<std::uint16_t>(rng.nextBelow(2)));
+    const auto bytes = savedCache(warm);
+
+    // Built without zero-filling its arrays: load() must write
+    // every way and MRU entry, or the saved bytes would differ.
+    Cache restored(CacheParams{"c", 4096, 4, 64},
+                   /*for_restore=*/true);
+    dlsim::snapshot::Deserializer d(bytes.data(), bytes.size());
+    d.enterSection("c");
+    restored.load(d);
+    d.leaveSection();
+    EXPECT_EQ(savedCache(restored), bytes);
+    for (int i = 0; i < 500; ++i) {
+        const Addr a = rng.nextBelow(1 << 12) * 64;
+        ASSERT_EQ(restored.access(a, 0), warm.access(a, 0));
+    }
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// The sanitizer build poisons a restore target's arrays until load()
+// writes them: reading one first is reported, not silently served
+// from uninitialised memory.
+TEST(CacheDeathTest, RestoreTargetIsPoisonedUntilLoad)
+{
+    Cache target(tiny(), /*for_restore=*/true);
+    EXPECT_DEATH(target.contains(0x1000, 0), "use-after-poison");
+}
+#endif

@@ -4,10 +4,15 @@
  * decode(), decodeMutable(), block building and the trampoline census
  * probe: found/not-found accounting, patch visibility through
  * decodeMutable, dlclose removal, snapshot restore never serving
- * pre-restore slots, many distinct vas, and exactness under
- * dlopen/dlclose/dlmopen churn with and without ASLR.
+ * pre-restore slots, many distinct vas, exactness under
+ * dlopen/dlclose/dlmopen churn with and without ASLR (against a
+ * wholesale rebuild after every step, across table growth), and
+ * backward-shift deletion in clusters that wrap past the table's
+ * end.
  */
 
+#include <algorithm>
+#include <bit>
 #include <map>
 #include <set>
 #include <string>
@@ -257,6 +262,51 @@ expectedFor(const LoadedModule &lm)
     return e;
 }
 
+/** Code-index capacity for `slots` slots ever added: the rule a
+ *  wholesale rebuild sizes the table by. */
+std::uint64_t
+capacityFor(std::uint64_t slots)
+{
+    return std::bit_ceil(std::max<std::uint64_t>(16, 2 * slots));
+}
+
+std::uint64_t
+slotsEverAdded(const Image &image)
+{
+    return image.modules().back().slotEnd;
+}
+
+/** `image`'s index, incrementally maintained, must answer every va
+ *  exactly as `fresh`'s, rebuilt wholesale by a save/load round
+ *  trip of `image`. */
+void
+expectSameAsRebuilt(Image &image, Image &fresh,
+                    const std::set<Addr> &vas)
+{
+    const auto bytes =
+        snapshot::serialize(0, [&](snapshot::Serializer &s) {
+            s.beginSection("image");
+            image.save(s);
+            s.endSection();
+        });
+    snapshot::Deserializer d(bytes.data(), bytes.size());
+    d.enterSection("image");
+    fresh.load(d);
+    d.leaveSection();
+    for (const Addr va : vas) {
+        const Slot *a = image.decode(va);
+        const Slot *b = fresh.decode(va);
+        ASSERT_EQ(a == nullptr, b == nullptr)
+            << "va 0x" << std::hex << va;
+        if (a == nullptr)
+            continue;
+        EXPECT_EQ(a->va, b->va);
+        EXPECT_EQ(a->moduleId, b->moduleId);
+        EXPECT_EQ(a->flags, b->flags);
+        EXPECT_EQ(a->inst.op, b->inst.op);
+    }
+}
+
 void
 runChurn(bool aslr)
 {
@@ -264,21 +314,38 @@ runChurn(bool aslr)
     opts.aslr = aslr;
     opts.aslrSeed = 7;
     Loader loader(opts);
+    // The same history replayed as layout only, the way a restore
+    // target is built: its index comes from Image::load alone.
+    LoaderOptions skeleton = opts;
+    skeleton.skeletonForRestore = true;
+    Loader mirror(skeleton);
 
-    elf::ModuleBuilder app("app");
-    app.setDataSize(4096);
-    auto &main = app.function("main");
-    main.callExternal("g0");
-    main.halt();
-    elf::ModuleBuilder base("base");
-    for (int i = 0; i < 4; ++i)
-        base.function("g" + std::to_string(i)).ret();
-    auto image = loader.load(app.build(), {base.build()});
+    const auto build = [](Loader &l) {
+        elf::ModuleBuilder app("app");
+        app.setDataSize(4096);
+        auto &main = app.function("main");
+        main.callExternal("g0");
+        main.halt();
+        elf::ModuleBuilder base("base");
+        for (int i = 0; i < 4; ++i)
+            base.function("g" + std::to_string(i)).ret();
+        return l.load(app.build(), {base.build()});
+    };
+    auto image = build(loader);
+    auto fresh = build(mirror);
 
     // One isolated namespace, live for the whole run.
     const std::uint16_t ns =
         loader.dlmopen(*image, {churnLib("iso", 3, 1)});
     ASSERT_NE(ns, 0u);
+    mirror.dlmopen(*fresh, {churnLib("iso", 3, 1)});
+    std::set<Addr> every_va; // every va any module ever covered
+    for (const LoadedModule &lm : image->modules()) {
+        for (const auto &[va, op] : expectedFor(lm).slots)
+            every_va.insert(va);
+    }
+    int growths = 0;     // dlopens that crossed the growth threshold
+    int incremental = 0; // dlopens that did not
 
     // Four churn libraries of different sizes.
     const int funcs[] = {2, 40, 6, 90};
@@ -299,13 +366,25 @@ runChurn(bool aslr)
                 closed_vas.insert(va);
             closed_text.insert(image->moduleAt(id).textBase);
             loader.dlclose(*image, name);
+            mirror.dlclose(*fresh, name);
         } else {
+            const std::uint64_t before =
+                capacityFor(slotsEverAdded(*image));
             const auto id = loader.dlopen(
                 *image, churnLib(name, funcs[pick], 4));
+            mirror.dlopen(*fresh, churnLib(name, funcs[pick], 4));
             if (closed_text.count(image->moduleAt(id).textBase))
                 ++reuses;
+            for (const auto &[va, op] :
+                 expectedFor(image->moduleAt(id)).slots)
+                every_va.insert(va);
+            if (capacityFor(slotsEverAdded(*image)) != before)
+                ++growths;
+            else
+                ++incremental;
         }
         open[pick] = !open[pick];
+        expectSameAsRebuilt(*image, *fresh, every_va);
 
         // The loaded set's union, checked against the index.
         std::map<Addr, isa::Opcode> live;
@@ -341,6 +420,10 @@ runChurn(bool aslr)
     if (!aslr) {
         EXPECT_GT(reuses, 0);
     }
+    // The run crossed the table-growth threshold mid-churn, and
+    // also took the incremental path.
+    EXPECT_GT(growths, 0);
+    EXPECT_GT(incremental, 0);
 }
 
 } // namespace
@@ -353,4 +436,87 @@ TEST(CodeIndex, ExactUnderChurnWithFirstFitReuse)
 TEST(CodeIndex, ExactUnderChurnWithAslr)
 {
     runChurn(true);
+}
+
+namespace
+{
+
+/** `count` vas, above `from`, whose home bucket in a table of
+ *  `capacity` buckets is `bucket`. */
+std::vector<Addr>
+homedAt(std::uint64_t bucket, std::uint64_t capacity, int count,
+        Addr from)
+{
+    std::vector<Addr> vas;
+    for (Addr va = from; static_cast<int>(vas.size()) < count; ++va) {
+        if ((CodeIndex::hash(va) & (capacity - 1)) == bucket)
+            vas.push_back(va);
+    }
+    return vas;
+}
+
+} // namespace
+
+TEST(CodeIndex, EraseClosesAClusterThatWrapsPastTheEnd)
+{
+    CodeIndex index;
+    index.reset(16);
+    // Three vas homed at the last bucket and two at bucket 0: the
+    // cluster fills buckets 15, 0, 1, 2, 3.
+    const auto last = homedAt(15, 16, 3, 0x1000);
+    const auto first = homedAt(0, 16, 2, 0x1000);
+    const std::vector<Addr> order = {last[0], last[1], first[0],
+                                     last[2], first[1]};
+    std::map<Addr, std::uint32_t> live;
+    for (std::uint32_t i = 0; i < order.size(); ++i) {
+        index.insert(order[i], i);
+        live[order[i]] = i;
+    }
+    // First slot wins: re-inserting a present va changes nothing.
+    index.insert(last[1], 99);
+    // The wrong slot number does not erase.
+    index.erase(last[0], 7);
+    EXPECT_EQ(index.find(last[0]), 0u);
+
+    // Erase the cluster's head (bucket 15): the entries that wrapped
+    // past the end must move back across it and stay reachable.
+    for (const Addr gone : {last[0], first[0], last[1]}) {
+        index.erase(gone, live.at(gone));
+        live.erase(gone);
+        EXPECT_EQ(index.find(gone), CodeIndex::None);
+        for (const auto &[va, slot] : live)
+            EXPECT_EQ(index.find(va), slot) << "va 0x" << std::hex << va;
+    }
+}
+
+TEST(CodeIndex, InsertAndEraseMatchAMap)
+{
+    // A 16-bucket table kept at most half full, with a key pool
+    // dense in the last and first buckets so clusters often wrap.
+    std::vector<Addr> pool = homedAt(15, 16, 6, 0x40000);
+    for (const Addr va : homedAt(0, 16, 4, 0x40000))
+        pool.push_back(va);
+    for (const Addr va : homedAt(7, 16, 2, 0x40000))
+        pool.push_back(va);
+    CodeIndex index;
+    index.reset(16);
+    std::map<Addr, std::uint32_t> model;
+    stats::Rng rng(3);
+    for (std::uint32_t step = 0; step < 20000; ++step) {
+        const Addr va = pool[rng.nextBelow(pool.size())];
+        const auto it = model.find(va);
+        if (it != model.end()) {
+            index.erase(va, it->second);
+            model.erase(it);
+        } else if (model.size() < 8) {
+            index.insert(va, step);
+            model[va] = step;
+        }
+        for (const Addr probe : pool) {
+            const auto m = model.find(probe);
+            ASSERT_EQ(index.find(probe),
+                      m == model.end() ? CodeIndex::None : m->second)
+                << "step " << step;
+        }
+    }
 }

@@ -264,6 +264,29 @@ TEST(ServerSnapshot, RestoredServeMatchesContinuousServe)
  * Contract 2: the merged fan-out outcome is identical for any
  * JobRunner width and either dispatch engine.
  */
+/**
+ * Restored, a server is the warm one: saved again before it serves,
+ * it gives the checkpoint's bytes. Its cores' caches were allocated
+ * without zero-filling (the Workbench is a restore target), so a way
+ * or MRU entry the restore did not write would show here.
+ */
+TEST(ServerSnapshot, RestoredServerSavesTheSourceBytes)
+{
+    const auto wl = smallWorkload(7);
+    const auto prog =
+        std::make_shared<const workload::BuiltProgram>(
+            workload::buildProgram(wl));
+    const auto state = warmCheckpoint(wl, prog);
+    const auto mc_base = serverMachine(false, true);
+    workload::Workbench wb(wl, mc_base, prog, /*for_restore=*/true);
+    ASSERT_TRUE(wb.awaitingRestore());
+    os::Server server(wb, multiCore(mc_base),
+                      smallServer(Warm, Churn), state.data(),
+                      state.size());
+    EXPECT_FALSE(wb.awaitingRestore());
+    EXPECT_EQ(server.snapshot(), state);
+}
+
 TEST(ServerSnapshot, FanOutIdenticalAcrossJobsAndBlocks)
 {
     const auto wl = smallWorkload(7);
