@@ -17,6 +17,8 @@
 #include <string_view>
 
 #include "branch/btb.hh"
+#include "branch/indirect.hh"
+#include "core/abtb.hh"
 #include "common.hh"
 #include "core/skip_unit.hh"
 #include "linker/loader.hh"
@@ -732,6 +734,182 @@ TEST(SnapshotStructures, BtbRoundTrip)
     EXPECT_EQ(saveOne(b), bytes);
     for (Addr pc = 0x400000; pc < 0x400000 + 8 * 40; pc += 4)
         EXPECT_EQ(a.lookup(pc), b.lookup(pc));
+}
+
+namespace
+{
+
+/** CRC-32 of a structure's whole saved file. */
+template <typename T>
+std::uint32_t
+savedCrc(const T &t)
+{
+    const auto bytes = saveOne(t);
+    return crc32(bytes.data(), bytes.size());
+}
+
+} // namespace
+
+/**
+ * Wire-format pins: a fixed seeded op sequence on each of the five
+ * set-associative structures — fills, evictions, in-place updates,
+ * ASID and whole-table flushes, the all-ASID snoop and the memo
+ * touches — then the CRC-32 of each one's saved bytes. A constant
+ * changes only when the checkpoint bytes (and so the simulated
+ * state) change.
+ */
+TEST(SnapshotStructures, SetAssociativeWireFormatsPinned)
+{
+    stats::Rng rng(2015);
+
+    // 12 sets (modulo indexing) and 8 sets (mask indexing).
+    for (const auto &[p, pin] :
+         {std::pair{mem::CacheParams{"pin12", 12 * 4 * 64, 4, 64},
+                    0xe3323f3du},
+          std::pair{mem::CacheParams{"pin8", 8 * 2 * 64, 2, 64},
+                    0x2cb47fb3u}}) {
+        mem::Cache c(p);
+        mem::Cache::Way *memo = nullptr;
+        Addr memo_addr = 0;
+        for (int i = 0; i < 4000; ++i) {
+            const Addr a = rng.nextBelow(120) * 64 + rng.nextBelow(64);
+            const auto asid =
+                static_cast<std::uint16_t>(rng.nextBelow(3));
+            const auto op = rng.nextBelow(100);
+            if (op < 55) {
+                c.access(a, asid);
+                if (op < 10) {
+                    memo = c.lastWayPtr();
+                    memo_addr = a;
+                    c.touchRepeatN(1 + op % 3);
+                }
+            } else if (op < 65) {
+                if (c.wayHolds(memo, memo_addr, 1))
+                    c.touchAt(memo);
+                else
+                    c.access(memo_addr, 1);
+            } else if (op < 75) {
+                c.prefetch(a, asid);
+            } else if (op < 85) {
+                c.invalidateLine(a, asid);
+            } else if (op < 99) {
+                c.invalidateLineAllAsids(a);
+            } else {
+                c.invalidateAll();
+            }
+        }
+        EXPECT_EQ(savedCrc(c), pin) << p.name << std::hex << " 0x"
+                                    << savedCrc(c);
+    }
+
+    {
+        mem::Tlb t(mem::TlbParams{"pin", 32, 4});
+        for (int i = 0; i < 3000; ++i) {
+            const Addr a = rng.nextBelow(40) * mem::PageBytes +
+                           rng.nextBelow(mem::PageBytes);
+            const auto asid =
+                static_cast<std::uint16_t>(rng.nextBelow(3));
+            const auto op = rng.nextBelow(100);
+            if (op < 90) {
+                t.access(a, asid);
+                if (op < 20)
+                    t.touchRepeat();
+            } else if (op < 99) {
+                t.flushAsid(asid);
+            } else {
+                t.flushAll();
+            }
+        }
+        EXPECT_EQ(savedCrc(t), 0xc7c068f6u) << std::hex << " 0x" << savedCrc(t);
+    }
+
+    {
+        branch::Btb b(branch::BtbParams{64, 4});
+        for (int i = 0; i < 3000; ++i) {
+            const Addr pc = 0x400000 + rng.nextBelow(150) * 4;
+            const auto op = rng.nextBelow(100);
+            if (op < 45)
+                b.lookup(pc);
+            else if (op < 95) // a hit updates the target in place
+                b.update(pc, 0x800000 + rng.nextBelow(4) * 16);
+            else if (op < 99)
+                b.invalidate(pc);
+            else
+                b.invalidateAll();
+        }
+        EXPECT_EQ(savedCrc(b), 0x60bb91e8u) << std::hex << " 0x" << savedCrc(b);
+    }
+
+    {
+        core::Abtb t(core::AbtbParams{32, 4});
+        for (int i = 0; i < 3000; ++i) {
+            const Addr tramp = 0x401000 + rng.nextBelow(80) * 16;
+            const auto asid =
+                static_cast<std::uint16_t>(rng.nextBelow(2));
+            const auto op = rng.nextBelow(100);
+            if (op < 50)
+                t.lookup(tramp, asid);
+            else if (op < 99) // a hit updates the mapping in place
+                t.insert(tramp, 0x7f0000000000 + rng.nextBelow(8),
+                         0x600000 + rng.nextBelow(8) * 8, asid);
+            else
+                t.flushAll();
+        }
+        EXPECT_EQ(savedCrc(t), 0xb0bcb0b9u) << std::hex << " 0x" << savedCrc(t);
+    }
+
+    {
+        // Which invalid way a fill takes is not pinned here: only
+        // the predictions and each set's valid entries (as a sorted
+        // multiset), the history and the tick.
+        branch::IndirectPredictorParams p;
+        p.enabled = true;
+        p.entries = 64;
+        branch::IndirectPredictor ip(p);
+        std::uint32_t crc = 0;
+        for (int i = 0; i < 3000; ++i) {
+            const Addr pc = 0x500000 + rng.nextBelow(40) * 4;
+            const auto op = rng.nextBelow(100);
+            if (op < 40) {
+                const Addr t = ip.predict(pc).value_or(0);
+                crc = crc32(reinterpret_cast<const std::uint8_t *>(&t),
+                            sizeof t, crc);
+            } else if (op < 80) {
+                ip.update(pc, 0x900000 + rng.nextBelow(3) * 16);
+            } else if (op < 99) {
+                ip.updateHistory(0x100 * rng.nextBelow(6));
+            } else {
+                ip.reset();
+            }
+        }
+        const auto bytes = saveOne(ip);
+        Deserializer d(bytes.data(), bytes.size());
+        d.enterSection("t");
+        d.enterStruct("indirect");
+        d.boolean();
+        d.u32();
+        d.u32();
+        d.u32();
+        const std::uint64_t head[2] = {d.u64(), d.u64()};
+        crc = crc32(reinterpret_cast<const std::uint8_t *>(head),
+                    sizeof head, crc);
+        constexpr std::size_t Wire = 25;
+        const std::uint8_t *e = d.raw(p.entries * Wire);
+        for (std::size_t set = 0; set < p.entries / p.assoc; ++set) {
+            std::vector<std::string> valid;
+            for (std::size_t w = 0; w < p.assoc; ++w, e += Wire) {
+                if (e[16] != 0)
+                    valid.emplace_back(
+                        reinterpret_cast<const char *>(e), Wire);
+            }
+            std::sort(valid.begin(), valid.end());
+            for (const auto &v : valid)
+                crc = crc32(
+                    reinterpret_cast<const std::uint8_t *>(v.data()),
+                    v.size(), crc);
+        }
+        EXPECT_EQ(crc, 0x8ef51a0eu) << std::hex << " 0x" << crc;
+    }
 }
 
 TEST(SnapshotStructures, RngStreamContinuation)
