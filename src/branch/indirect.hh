@@ -17,9 +17,8 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
-#include "isa/instruction.hh"
+#include "branch/btb.hh"
 
 namespace dlsim::snapshot
 {
@@ -74,21 +73,11 @@ class IndirectPredictor
     void load(snapshot::Deserializer &d);
 
   private:
-    struct Entry
-    {
-        std::uint64_t tag = 0;
-        Addr target = 0;
-        bool valid = false;
-        std::uint64_t lastUse = 0;
-    };
-
     std::uint64_t indexTag(Addr pc) const;
 
     IndirectPredictorParams params_;
-    std::uint64_t numSets_;
-    std::vector<Entry> entries_;
+    mem::SetAssocTable<TargetEntry> entries_;
     std::uint64_t history_ = 0;
-    std::uint64_t tick_ = 0;
 };
 
 } // namespace dlsim::branch

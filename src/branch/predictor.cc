@@ -96,7 +96,10 @@ void
 BranchPredictor::contextSwitch()
 {
     ras_.clear();
-    indirect_.reset();
+    // A disabled indirect predictor is never read or written, so its
+    // table stays empty and its history zero: resetting it is a no-op.
+    if (indirect_.params().enabled)
+        indirect_.reset();
 }
 
 void

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "isa/instruction.hh"
+#include "mem/set_assoc.hh"
 
 namespace dlsim::stats
 {
@@ -57,38 +58,23 @@ class Cache
     /**
      * @param for_restore The cache is about to be overwritten by
      *        load(), which writes every way and MRU entry: leave
-     *        them uninitialised instead of zero-filling megabytes
-     *        that load() replaces. Such a cache must not be used
-     *        before load(); the sanitizer build poisons its arrays
-     *        until then.
+     *        them uninitialised (see allocateArray()). Such a cache
+     *        must not be used before load().
      */
     explicit Cache(const CacheParams &params, bool for_restore = false);
 
     /**
-     * One way, packed to 16 bytes so an 8-way set scan touches two
-     * host cache lines instead of three and the tag compare is a
-     * single 64-bit equality. Layout of `key`:
-     * tag[63:17] | asid[16:1] | valid[0]. Simulated addresses stay
-     * far below 2^53 (47 tag bits + 6 line-offset bits), so the tag
-     * never truncates. The snapshot wire format is unchanged — the
-     * serializer decomposes the key into the original fields.
+     * One way: the packed (line, asid, valid) key and its LRU stamp.
      * Public only as an opaque handle for the verified-touch API;
-     * the storage itself stays private. Trivial (no member
-     * initialisers), so a restore target can allocate the array
-     * without writing it; the constructor value-initialises it
-     * otherwise.
+     * the storage itself stays private.
      */
-    struct Way
-    {
-        std::uint64_t key;
-        std::uint64_t lastUse;
-    };
+    using Way = AsidWay;
 
     /**
      * Look up (and on miss, allocate) the line containing addr.
      * Inline so the MRU-compare hit — the overwhelming majority of
-     * L1 traffic — resolves at the call site; set scan, victim
-     * selection, and fill live in accessSlow().
+     * L1 traffic — resolves at the call site; victim selection and
+     * fill live in accessMiss().
      * @param addr Virtual address of the access.
      * @param asid Address-space id of the accessor.
      * @return True on hit.
@@ -96,17 +82,17 @@ class Cache
     bool
     access(Addr addr, std::uint16_t asid)
     {
-        ++tick_;
+        const std::uint64_t tick = ways_.advance();
         const std::uint64_t line = lineOf(addr);
-        const std::size_t set = setOf(line);
-        const std::uint64_t want = wayKey(line, asid);
+        const std::size_t set = ways_.setOf(line);
+        const std::uint64_t want = Way::keyOf(line, asid);
         // Fast path: the fetch/data stream revisits the same line
         // back to back, so one compare against the set's MRU way
         // settles back-to-back L1 hits before the full scan.
-        Way *base = &ways_[set * params_.assoc];
+        Way *base = ways_.set(set);
         Way &mru = base[mruWay_[set]];
         if (mru.key == want) {
-            mru.lastUse = tick_;
+            mru.lastUse = tick;
             ++hits_;
             lastWay_ = &mru;
             return true;
@@ -114,15 +100,16 @@ class Cache
         // Full branchless scan inline: sequential code streams
         // through lines, so a hit in a *non*-MRU way (the previous
         // loop iteration's fill) is the second-most-common outcome
-        // and is worth settling without a function call. Identical
-        // updates to the old findWay() hit path, mruWay_ included.
-        std::uint32_t hit = params_.assoc;
-        for (std::uint32_t w = 0; w < params_.assoc; ++w)
+        // and is worth settling without a function call. The key
+        // carries the valid bit, so one compare is the whole test.
+        const std::uint32_t assoc = ways_.assoc();
+        std::uint32_t hit = assoc;
+        for (std::uint32_t w = 0; w < assoc; ++w)
             hit = base[w].key == want ? w : hit;
-        if (hit != params_.assoc) {
+        if (hit != assoc) {
             mruWay_[set] = hit;
             Way &way = base[hit];
-            way.lastUse = tick_;
+            way.lastUse = tick;
             ++hits_;
             lastWay_ = &way;
             return true;
@@ -170,12 +157,7 @@ class Cache
      * repeat access() always takes the MRU-compare hit path, which
      * performs exactly these three updates.
      */
-    void touchRepeat()
-    {
-        ++tick_;
-        lastWay_->lastUse = tick_;
-        ++hits_;
-    }
+    void touchRepeat() { touchRepeatN(1); }
 
     /**
      * `n` consecutive touchRepeat()s in one step. Byte-identical to
@@ -186,8 +168,7 @@ class Cache
      */
     void touchRepeatN(std::uint64_t n)
     {
-        tick_ += n;
-        lastWay_->lastUse = tick_;
+        lastWay_->lastUse = ways_.advance(n);
         hits_ += n;
     }
 
@@ -200,16 +181,15 @@ class Cache
      * Unlike touchRepeat(), no recency precondition: the caller
      * holds a Way pointer captured from an arbitrarily old access
      * (lastWayPtr()), and wayHolds() re-verifies it by key compare
-     * before any state is touched. The pointer can never dangle —
-     * ways_ is allocated once and never reallocates — so staleness
-     * just fails the compare. When it succeeds, the way genuinely
-     * holds (line, asid) right now: a real access() would hit exactly
-     * this way (a key is held by at most one way, since fills only
-     * happen after a scan found no match) and perform exactly
-     * touchAt()'s updates — including leaving mruWay_ pointing at
-     * it, which both the inline MRU-hit and the scan-hit paths do.
-     * Gated on power-of-two associativity so the way→set division
-     * is a shift; every shipped geometry qualifies.
+     * before any state is touched. The pointer can never dangle
+     * (see SetAssocTable), so staleness just fails the compare.
+     * When it succeeds, the way genuinely holds (line, asid) right
+     * now: a real access() would hit exactly this way (a key is
+     * held by at most one way) and perform exactly touchAt()'s
+     * updates — including leaving mruWay_ pointing at it, which
+     * both the inline MRU-hit and the scan-hit paths do. Gated on
+     * power-of-two associativity so the way→set division is a
+     * shift; every shipped geometry qualifies.
      * @{ */
 
     /** Way the most recent demand access() resolved to. */
@@ -219,8 +199,8 @@ class Cache
     bool
     wayHolds(const Way *w, Addr addr, std::uint16_t asid) const
     {
-        return assocPow2_ && w != nullptr &&
-               w->key == wayKey(lineOf(addr), asid);
+        return ways_.assocPow2() && w != nullptr &&
+               w->key == Way::keyOf(lineOf(addr), asid);
     }
 
     /** The hit that wayHolds() proved: identical updates to an
@@ -228,14 +208,10 @@ class Cache
     void
     touchAt(Way *w)
     {
-        ++tick_;
-        w->lastUse = tick_;
+        w->lastUse = ways_.advance();
         ++hits_;
         lastWay_ = w;
-        const std::size_t slot =
-            static_cast<std::size_t>(w - ways_.get());
-        mruWay_[slot >> assocShift_] =
-            static_cast<std::uint32_t>(slot & (params_.assoc - 1));
+        mruWay_[ways_.setOfEntry(w)] = ways_.wayOfEntry(w);
     }
     /** @} */
 
@@ -262,68 +238,25 @@ class Cache
     void load(snapshot::Deserializer &d);
 
   private:
-    /** Key a valid (line, asid) pairing would carry. */
-    static constexpr std::uint64_t
-    wayKey(std::uint64_t line, std::uint16_t asid)
-    {
-        return (line << 17) |
-               (static_cast<std::uint64_t>(asid) << 1) | 1;
-    }
-
-    /** Hit scan: the way holding (line, asid), or null. */
-    Way *findWay(std::uint64_t line, std::size_t set,
-                 std::uint16_t asid);
-
-    /** access() miss tail: count, select a victim, fill. */
+    /** access() miss tail: count, fill. */
     bool accessMiss(std::uint64_t line, std::size_t set,
                     std::uint16_t asid);
 
-    /** True when `way` holds (line, asid): one packed compare. */
-    static bool wayMatches(const Way &way, std::uint64_t line,
-                           std::uint16_t asid)
-    {
-        return way.key == wayKey(line, asid);
-    }
-
-    /**
-     * Deterministic victim selection within a set: the first invalid
-     * way if any, otherwise the first way with the minimum lastUse.
-     * Shared by access() and prefetch() so demand and prefetch fills
-     * can never diverge.
-     */
-    Way *findVictim(std::size_t set);
-
-    /** Allocate (line, asid) into victim, counting evictions. */
-    void fill(Way *victim, std::uint64_t line, std::uint16_t asid);
+    /** Allocate (line, asid) into its set, counting evictions;
+     *  shared by demand and prefetch fills so they never diverge. */
+    Way *fill(std::uint64_t line, std::size_t set, std::uint16_t asid);
 
     std::uint64_t lineOf(Addr addr) const { return addr >> lineShift_; }
-    std::size_t setOf(std::uint64_t line) const
-    {
-        // Power-of-two set counts use a mask; others (e.g. a 12MB
-        // 16-way LLC) fall back to modulo.
-        if (setsArePow2_)
-            return static_cast<std::size_t>(line & (numSets_ - 1));
-        return static_cast<std::size_t>(line % numSets_);
-    }
 
-    /** The way and MRU arrays as ranges (whole-array passes). */
-    std::span<Way> ways() const { return {ways_.get(), numWays_}; }
+    /** The MRU array as a range (whole-array passes). */
     std::span<std::uint32_t> mruWays() const
     {
-        return {mruWay_.get(), numSets_};
+        return {mruWay_.get(), ways_.sets()};
     }
 
     CacheParams params_;
     std::uint32_t lineShift_;
-    std::uint64_t numSets_;
-    bool setsArePow2_;
-    /** touchAt()'s way→set conversion: log2(assoc) when assoc is a
-     *  power of two (assocPow2_), which gates the verified-touch
-     *  API on. */
-    std::uint32_t assocShift_ = 0;
-    bool assocPow2_ = false;
-    std::size_t numWays_;
-    std::unique_ptr<Way[]> ways_; // numSets * assoc, set-major.
+    SetAssocTable<Way> ways_;
     /**
      * Most-recently-used way per set: the fetch stream touches the
      * same line for several consecutive instructions, so a single
@@ -340,7 +273,6 @@ class Cache
      * accesses within one run loop, never across a snapshot.
      */
     Way *lastWay_ = nullptr;
-    std::uint64_t tick_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t prefetches_ = 0;

@@ -1,6 +1,5 @@
 #include "mem/tlb.hh"
 
-#include <bit>
 #include <cassert>
 
 #include "snapshot/serializer.hh"
@@ -9,36 +8,10 @@
 namespace dlsim::mem
 {
 
-namespace
-{
-
-/** Snapshot record of one entry: u64 vpn, u16 asid, bool valid,
- *  u64 lastUse — the packed key decomposed into its fields. */
-constexpr std::size_t EntryWireBytes = 19;
-
-} // namespace
-
-Tlb::Tlb(const TlbParams &params) : params_(params)
+Tlb::Tlb(const TlbParams &params)
+    : params_(params), entries_(params.entries / params.assoc, params.assoc)
 {
     assert(params_.assoc > 0 && params_.entries >= params_.assoc);
-    numSets_ = params_.entries / params_.assoc;
-    assert(std::has_single_bit(numSets_));
-    entries_.resize(numSets_ * params_.assoc);
-}
-
-Tlb::Entry *
-Tlb::findVictim(std::size_t set)
-{
-    Entry *base = &entries_[set * params_.assoc];
-    Entry *victim = base;
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        Entry &e = base[w];
-        if (!(e.key & 1))
-            return &e; // first invalid entry, deterministically
-        if (e.lastUse < victim->lastUse)
-            victim = &e;
-    }
-    return victim;
 }
 
 bool
@@ -46,12 +19,11 @@ Tlb::accessMiss(std::uint64_t vpn, std::size_t set,
                 std::uint16_t asid)
 {
     ++misses_;
-    Entry *victim = findVictim(set);
-    if (victim->key & 1)
+    const auto [e, evicted] =
+        entries_.fill(set, Entry{Entry::keyOf(vpn, asid), 0});
+    if (evicted)
         ++evictions_;
-    victim->key = entryKey(vpn, asid);
-    victim->lastUse = tick_;
-    lastEntry_ = victim;
+    lastEntry_ = e;
     return false;
 }
 
@@ -59,18 +31,14 @@ void
 Tlb::flushAll()
 {
     lastEntry_ = nullptr; // the repeat precondition no longer holds
-    for (auto &e : entries_)
-        e.key &= ~std::uint64_t{1};
+    entries_.flushAll();
 }
 
 void
 Tlb::flushAsid(std::uint16_t asid)
 {
     lastEntry_ = nullptr; // the repeat precondition no longer holds
-    for (auto &e : entries_) {
-        if (((e.key >> 1) & 0xffff) == asid)
-            e.key &= ~std::uint64_t{1};
-    }
+    entries_.flushIf([asid](const Entry &e) { return e.asid() == asid; });
 }
 
 void
@@ -95,18 +63,11 @@ Tlb::save(snapshot::Serializer &s) const
     s.str(params_.name);
     s.u32(params_.entries);
     s.u32(params_.assoc);
-    s.u64(tick_);
+    s.u64(entries_.tick());
     s.u64(hits_);
     s.u64(misses_);
     s.u64(evictions_);
-    s.records(entries_, EntryWireBytes,
-              [](std::uint8_t *p, const Entry &e) {
-                  snapshot::putLe64(p, e.key >> 17);
-                  snapshot::putLe16(
-                      p + 8, static_cast<std::uint16_t>(e.key >> 1));
-                  p[10] = static_cast<std::uint8_t>(e.key & 1);
-                  snapshot::putLe64(p + 11, e.lastUse);
-              });
+    entries_.save(s);
     s.endStruct();
 }
 
@@ -120,20 +81,11 @@ Tlb::load(snapshot::Deserializer &d)
                "', machine has '" + params_.name + "'");
     d.checkU32(params_.entries, params_.name + " entries");
     d.checkU32(params_.assoc, params_.name + " assoc");
-    tick_ = d.u64();
+    entries_.setTick(d.u64());
     hits_ = d.u64();
     misses_ = d.u64();
     evictions_ = d.u64();
-    // Bulk-unpack; see Cache::load.
-    const std::uint8_t *p = d.raw(entries_.size() * EntryWireBytes);
-    for (Entry &e : entries_) {
-        e.key = (snapshot::le64(p) << 17) |
-                (static_cast<std::uint64_t>(snapshot::le16(p + 8))
-                 << 1) |
-                (p[10] != 0 ? 1 : 0);
-        e.lastUse = snapshot::le64(p + 11);
-        p += EntryWireBytes;
-    }
+    entries_.load(d);
     lastEntry_ = nullptr; // transient; never valid across a restore
     d.leaveStruct();
 }
